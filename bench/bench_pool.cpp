@@ -314,8 +314,8 @@ int main() {
   printNote("so it scales with worker overlap even on a single core; the");
   printNote("-cpu mixes scale only with physical cores");
 
-  // Blocking marks-heavy cells, kept per worker count for the fiber
-  // comparison below (equal workers, same mix, same batch).
+  // Blocking (admission cap 1) marks-heavy cells, kept per worker count
+  // for the fiber comparison below (equal workers, same mix, same batch).
   double BlockingHeavyMs[9] = {0};
 
   for (const Mix &M : Mixes) {

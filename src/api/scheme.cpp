@@ -197,46 +197,54 @@ uint64_t SchemeEngine::spawnFiberJob(const std::string &Source,
                                      uint64_t DelayNs,
                                      std::string *CompileErr) {
   Heap &H = Machine.heap();
-  FaultPause Pause(Machine.faults());
-  std::string ReadError;
-  RootedValues Forms(H);
-  {
-    std::vector<Value> Raw = readAllFromString(H, Source, &ReadError);
-    if (!ReadError.empty()) {
+  // Reading and compiling allocate outside any run's recovery scope, as
+  // in eval(): a heap budget exhausted here fails the spawn, not the host.
+  try {
+    FaultPause Pause(Machine.faults());
+    std::string ReadError;
+    RootedValues Forms(H);
+    {
+      std::vector<Value> Raw = readAllFromString(H, Source, &ReadError);
+      if (!ReadError.empty()) {
+        if (CompileErr)
+          *CompileErr = "read error: " + ReadError;
+        return 0;
+      }
+      for (Value V : Raw)
+        Forms.push(V);
+    }
+    // Compile every toplevel form up front to a closure; the fiber runs the
+    // list through the prelude's #%run-thunks when it is first scheduled.
+    RootedValues Thunks(H);
+    for (size_t I = 0; I < Forms.size(); ++I) {
+      std::string CompileError;
+      Value Code = Comp.compileToplevel(Forms[I], &CompileError);
+      if (!CompileError.empty()) {
+        if (CompileErr)
+          *CompileErr = "compile error: " + CompileError;
+        return 0;
+      }
+      GCRoot CodeRoot(H, Code);
+      Thunks.push(H.makeClosure(CodeRoot.get(), 0));
+    }
+    GCRoot ThunkList(H, Value::nil());
+    for (size_t I = Thunks.size(); I > 0; --I)
+      ThunkList.set(H.makePair(Thunks[I - 1], ThunkList.get()));
+    Value Runner = Machine.getGlobal("#%run-thunks");
+    if (!Runner.isClosure()) {
       if (CompileErr)
-        *CompileErr = "read error: " + ReadError;
+        *CompileErr = "#%run-thunks is not defined (prelude not loaded)";
       return 0;
     }
-    for (Value V : Raw)
-      Forms.push(V);
-  }
-  // Compile every toplevel form up front to a closure; the fiber runs the
-  // list through the prelude's #%run-thunks when it is first scheduled.
-  RootedValues Thunks(H);
-  for (size_t I = 0; I < Forms.size(); ++I) {
-    std::string CompileError;
-    Value Code = Comp.compileToplevel(Forms[I], &CompileError);
-    if (!CompileError.empty()) {
-      if (CompileErr)
-        *CompileErr = "compile error: " + CompileError;
-      return 0;
-    }
-    GCRoot CodeRoot(H, Code);
-    Thunks.push(H.makeClosure(CodeRoot.get(), 0));
-  }
-  GCRoot ThunkList(H, Value::nil());
-  for (size_t I = Thunks.size(); I > 0; --I)
-    ThunkList.set(H.makePair(Thunks[I - 1], ThunkList.get()));
-  Value Runner = Machine.getGlobal("#%run-thunks");
-  if (!Runner.isClosure()) {
+    GCRoot ArgsList(H, H.makePair(ThunkList.get(), Value::nil()));
+    Value FV = Machine.Fibers.spawnJob(Machine, Runner, ArgsList.get(),
+                                       BudgetNs, DeadlineNs, DelayNs);
+    return asFiber(FV)->Id;
+  } catch (const ResourceExhausted &Ex) {
     if (CompileErr)
-      *CompileErr = "#%run-thunks is not defined (prelude not loaded)";
+      *CompileErr = Ex.What;
     return 0;
   }
-  GCRoot ArgsList(H, H.makePair(ThunkList.get(), Value::nil()));
-  Value FV = Machine.Fibers.spawnJob(Machine, Runner, ArgsList.get(),
-                                     BudgetNs, DeadlineNs, DelayNs);
-  return asFiber(FV)->Id;
 }
 
 Value SchemeEngine::runFiberSlice() {
@@ -279,6 +287,7 @@ std::vector<FiberJobInfo> SchemeEngine::takeFinishedFiberJobs() {
     Info.Id = F->Id;
     Info.Ok = !F->erred();
     Info.RunNs = F->RunNs;
+    Info.FaultsInjected = F->FaultsInjected;
     if (F->erred()) {
       // Thrown exn records carry their message at slot 1; anything else
       // thrown is reported by its written form.

@@ -58,6 +58,9 @@ struct FiberJobInfo {
   std::string Output; ///< Written result, or the error message when !Ok.
   std::string Kind;   ///< Error kind symbol name ("" when Ok).
   uint64_t RunNs = 0; ///< On-CPU nanoseconds; parked time is excluded.
+  /// Injected faults (support/faults.h) that fired while the job's fiber
+  /// was switched in: the pool's retry signal.
+  uint64_t FaultsInjected = 0;
 };
 
 class SchemeEngine {
@@ -177,10 +180,13 @@ public:
   /// pending interrupts across slice boundaries.
   void enableFiberPool() { Machine.Fibers.CoopPool = true; }
 
-  /// Compiles \p Source and spawns it as a job fiber (thunk list run by
-  /// the prelude's #%run-thunks). Returns the fiber id, or 0 on a
-  /// compile/read error (reported via \p CompileErr). \p DelayNs > 0
-  /// schedules the first run after a backoff (retry support).
+  /// Reads and compiles every form of \p Source, then spawns the job as a
+  /// fiber that runs them in order (thunk list run by the prelude's
+  /// #%run-thunks): unlike eval(), no form runs before all have compiled.
+  /// Returns the fiber id, or 0 on a read/compile error or a heap budget
+  /// exhausted past its reserve while compiling (reported via
+  /// \p CompileErr). \p DelayNs > 0 schedules the first run after a
+  /// backoff (retry support).
   uint64_t spawnFiberJob(const std::string &Source, uint64_t BudgetNs,
                          uint64_t DeadlineNs, uint64_t DelayNs,
                          std::string *CompileErr);
@@ -208,6 +214,12 @@ public:
   bool fiberInterruptPending() const {
     return (Machine.AsyncSignals.load(std::memory_order_relaxed) &
             VM::SigInterrupt) != 0;
+  }
+  /// Drops a host interrupt that arrived while no job was resident: the
+  /// pool's analogue of eval() clearing one aimed at an idle engine.
+  void dropPendingInterrupt() {
+    Machine.AsyncSignals.fetch_and(~VM::SigInterrupt,
+                                   std::memory_order_relaxed);
   }
   FiberScheduler &fibers() { return Machine.Fibers; }
 

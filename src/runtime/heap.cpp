@@ -961,6 +961,7 @@ Value Heap::makeFiber(Value Thunk, Value ArgsList, uint64_t Id) {
   F->Id = Id;
   F->DueNs = 0;
   F->RunNs = 0;
+  F->FaultsInjected = 0;
   F->BudgetNs = 0;
   F->JobDeadlineNs = 0;
   F->Thunk = R1.get();

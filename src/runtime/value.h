@@ -438,6 +438,7 @@ struct FiberObj {
   uint64_t DueNs;    ///< Absolute steady-clock wake time while timed-parked
                      ///< (0 = untimed).
   uint64_t RunNs;    ///< Accumulated on-CPU time; excludes parked time.
+  uint64_t FaultsInjected; ///< Injected faults that fired while switched in.
   uint64_t BudgetNs; ///< Remaining run-time budget (0 = unlimited). Armed
                      ///< as the VM deadline at each switch-in, so a parked
                      ///< fiber never burns its timeout budget.

@@ -56,6 +56,25 @@ const char *fiberKindOfErrorKind(ErrorKind K) {
   return "error";
 }
 
+/// The engine-level share of a job's budgets: heap and stack. A job's
+/// timeout is its fiber's own (run-time budget or deadline).
+EngineLimits engineLimitsOf(EngineLimits L) {
+  L.TimeoutMs = 0;
+  return L;
+}
+
+/// Records a job's begin or end as an async trace slice keyed by its id
+/// ("job-<id>"): jobs interleave on a worker's thread, so their spans
+/// cannot nest.
+void traceJob(SchemeEngine &E, TraceEv Kind, uint64_t Id) {
+  TraceBuffer &TB = E.vm().trace();
+  if (!TB.Enabled)
+    return;
+  char Label[24];
+  int Len = std::snprintf(Label, sizeof(Label), "job-%" PRIu64, Id);
+  TB.record(Kind, Label, static_cast<size_t>(Len), Id);
+}
+
 } // namespace
 
 const char *cmk::jobOutcomeName(JobOutcome O) {
@@ -176,6 +195,9 @@ std::unique_ptr<SchemeEngine> EnginePool::buildWorkerEngine(
   // inject in lockstep; the salt keeps schedules distinct but still a
   // pure function of (spec, worker, incarnation).
   E->faults().reseed(static_cast<uint64_t>(Idx) * 1000003u + Incarnation);
+  // Every job runs as a fiber whose slices return to the worker loop.
+  E->enableFiberPool();
+  E->limits() = engineLimitsOf(Opts.DefaultJobLimits);
   if (Opts.TraceCapacity)
     E->startTrace(Opts.TraceCapacity);
   if (Opts.ProfileHz)
@@ -187,104 +209,337 @@ std::unique_ptr<SchemeEngine> EnginePool::buildWorkerEngine(
   return E;
 }
 
-void EnginePool::retireEngine(SchemeEngine &Engine, unsigned Idx) {
-  // Snapshot the engine's observability state into the pool-owned shard
-  // before it dies so traceJson()/profileCollapsed() stay valid across
-  // supervised restarts and after shutdown. The profiler's sampler
-  // thread must stop before the fold (and before the VM is destroyed).
-  SamplingProfiler &Prof = Engine.vm().profiler();
-  Prof.stop();
-  WorkerShard &S = *Shards[Idx];
-  std::lock_guard<std::mutex> L(S.Mu);
-  S.TraceDroppedPrior += Engine.trace().dropped();
-  S.ProfileSamplesPrior += Prof.total();
-  S.ProfileDroppedPrior += Prof.dropped();
-  S.TraceDropped = S.TraceDroppedPrior;
-  S.ProfileSamples = S.ProfileSamplesPrior;
-  S.ProfileDropped = S.ProfileDroppedPrior;
-  if (Opts.TraceCapacity)
-    S.TraceSnaps.push_back(Engine.trace());
-  if (Opts.ProfileHz)
-    Prof.foldInto(S.ProfileFold);
-}
-
-void EnginePool::workerMain(unsigned Idx) {
-  if (Opts.EnableFibers) {
-    workerFiberMain(Idx);
-    return;
-  }
-  uint32_t Incarnation = 0;
-  std::unique_ptr<SchemeEngine> Engine = buildWorkerEngine(Idx, Incarnation);
-  uint32_t ConsecutiveFatal = 0;
-  bool BreakerOpened = false;
-  for (;;) {
-    Job J;
-    {
-      std::unique_lock<std::mutex> L(QueueMu);
-      NotEmpty.wait(L, [&] { return Stopping || !Queue.empty(); });
-      if (Queue.empty())
-        break; // Stopping with nothing left to do.
-      if (Stopping && !DrainOnStop)
-        break; // Leave queued jobs for shutdown() to reject.
-      J = std::move(Queue.front());
-      Queue.pop_front();
-    }
-    NotFull.notify_one();
-
-    uint64_t DequeueNs = nowNanos();
-    uint64_t WaitNs = DequeueNs > J.EnqueueNs ? DequeueNs - J.EnqueueNs : 0;
-    if (Opts.QueueWaitBudgetMs)
-      noteQueueWait(WaitNs / 1000);
-    if (J.DeadlineNs && DequeueNs >= J.DeadlineNs) {
-      // Shed from the queue without running: the deadline already passed,
-      // so any work done now is wasted and delays live jobs behind it.
-      expireJob(J, Idx, WaitNs);
-      ConsecutiveFatal = 0;
-      continue;
-    }
-
-    if (!runJob(*Engine, J, Idx, WaitNs)) {
-      ConsecutiveFatal = 0;
-      continue;
-    }
-
-    // Fatal failure: the job burned through its reserve, so per-run
-    // governance can no longer vouch for this engine. Supervise.
-    ++ConsecutiveFatal;
-    WorkerShard &S = *Shards[Idx];
-    if (Opts.BreakerThreshold && ConsecutiveFatal >= Opts.BreakerThreshold) {
-      std::lock_guard<std::mutex> L(S.Mu);
-      ++S.BreakerOpens;
-      BreakerOpened = true;
-      break;
-    }
-    uint64_t T0 = nowNanos();
-    {
-      std::lock_guard<std::mutex> L(EnginesMu);
-      Engines[Idx] = nullptr;
-    }
-    retireEngine(*Engine, Idx);
-    Engine.reset();
-    ++Incarnation;
-    Engine = buildWorkerEngine(Idx, Incarnation);
-    TraceBuffer &TB = Engine->vm().trace();
-    if (TB.Enabled) {
-      // The rebuild predates the replacement ring's epoch, so the span
-      // renders at the epoch with the true duration carried in Arg.
-      TB.record(TraceEv::WorkerRestartBegin, Idx);
-      TB.record(TraceEv::WorkerRestartEnd, nowNanos() - T0);
-    }
-    {
-      std::lock_guard<std::mutex> L(S.Mu);
-      ++S.WorkerRestarts;
-    }
-  }
+void EnginePool::retireEngine(std::unique_ptr<SchemeEngine> &Engine,
+                              unsigned Idx) {
   {
     std::lock_guard<std::mutex> L(EnginesMu);
     Engines[Idx] = nullptr;
   }
-  retireEngine(*Engine, Idx);
+  // Snapshot the engine's observability state into the pool-owned shard
+  // before it dies so traceJson()/profileCollapsed() stay valid across
+  // supervised restarts and after shutdown. The profiler's sampler
+  // thread must stop before the fold (and before the VM is destroyed).
+  SamplingProfiler &Prof = Engine->vm().profiler();
+  Prof.stop();
+  {
+    WorkerShard &S = *Shards[Idx];
+    std::lock_guard<std::mutex> L(S.Mu);
+    S.TraceDroppedPrior += Engine->trace().dropped();
+    S.ProfileSamplesPrior += Prof.total();
+    S.ProfileDroppedPrior += Prof.dropped();
+    S.TraceDropped = S.TraceDroppedPrior;
+    S.ProfileSamples = S.ProfileSamplesPrior;
+    S.ProfileDropped = S.ProfileDroppedPrior;
+    if (Opts.TraceCapacity)
+      S.TraceSnaps.push_back(Engine->trace());
+    if (Opts.ProfileHz)
+      Prof.foldInto(S.ProfileFold);
+  }
   Engine.reset();
+}
+
+void EnginePool::workerMain(unsigned Idx) {
+  // Admission cap: how many jobs live as fibers on this worker's engine
+  // at once. A pool without EnableFibers admits one (see pool.h for what
+  // cap 1 guarantees).
+  const uint32_t Cap = !Opts.EnableFibers        ? 1
+                       : Opts.MaxFibersPerWorker ? Opts.MaxFibersPerWorker
+                                                 : 64;
+  WorkerShard &S = *Shards[Idx];
+  uint32_t Incarnation = 0;
+  std::unique_ptr<SchemeEngine> Engine = buildWorkerEngine(Idx, Incarnation);
+  VMStats StatsMark = Engine->stats();
+
+  /// One admitted job, keyed by its current fiber id (retries respawn
+  /// under a fresh id).
+  struct ActiveJob {
+    Job J;
+    uint64_t WaitNs = 0;
+    uint32_t Attempt = 1;
+    uint64_t RunNs = 0; ///< On-CPU ns summed across attempts.
+  };
+  std::map<uint64_t, ActiveJob> Active;
+  /// Retired since the last Publish, with their results.
+  std::vector<std::pair<ActiveJob, JobResult>> Retired;
+  uint64_t Retries = 0; ///< Since the last Publish.
+  uint32_t ConsecutiveFatal = 0;
+  bool BreakerOpened = false;
+
+  auto StopNow = [&] {
+    std::lock_guard<std::mutex> L(QueueMu);
+    return Stopping && !DrainOnStop;
+  };
+  // Spawns a job attempt as a fiber whose first run is DelayNs away.
+  auto Spawn = [&](const Job &J, uint64_t DelayNs, std::string &Err) {
+    uint64_t BudgetNs = J.Limits.TimeoutMs * 1000000ull;
+    uint64_t DeadlineNs = J.DeadlineNs;
+    if (Cap == 1) {
+      // The lone tenant's budgets are the engine's: its heap and stack
+      // limits govern the engine, and its timeout is wall-clock from the
+      // attempt's start, folded into the fiber's deadline.
+      Engine->limits() = engineLimitsOf(J.Limits);
+      if (BudgetNs) {
+        uint64_t TimeoutAt = nowNanos() + DelayNs + BudgetNs;
+        DeadlineNs = DeadlineNs ? std::min(DeadlineNs, TimeoutAt) : TimeoutAt;
+        BudgetNs = 0;
+      }
+    }
+    return Engine->spawnFiberJob(J.Source, BudgetNs, DeadlineNs, DelayNs,
+                                 &Err);
+  };
+  auto Retire = [&](ActiveJob &&A, JobResult R) {
+    R.Worker = Idx;
+    R.Id = A.J.Id;
+    R.Attempts = A.Attempt;
+    traceJob(*Engine, TraceEv::JobEnd, A.J.Id);
+    Retired.emplace_back(std::move(A), std::move(R));
+  };
+  auto FailAllActive = [&](JobOutcome O, const std::string &Err,
+                           ErrorKind K) {
+    for (auto &E : Active) {
+      JobResult R;
+      R.Outcome = O;
+      R.Error = Err;
+      R.Kind = K;
+      Retire(std::move(E.second), std::move(R));
+    }
+    Active.clear();
+  };
+  // Publishes the engine's stats delta together with every job retired
+  // since the last call in one critical section (the consistency model
+  // in pool.h), then resolves their futures. The run histogram records
+  // on-CPU time: parked time is not charged.
+  auto Publish = [&] {
+    VMStats Now = Engine->stats();
+    VMStats Delta = Now.delta(StatsMark);
+    StatsMark = Now;
+    {
+      std::lock_guard<std::mutex> L(S.Mu);
+      accumulateStats(S.Engines, Delta);
+      S.TraceDropped = S.TraceDroppedPrior + Engine->trace().dropped();
+      S.ProfileSamples =
+          S.ProfileSamplesPrior + Engine->vm().profiler().total();
+      S.ProfileDropped =
+          S.ProfileDroppedPrior + Engine->vm().profiler().dropped();
+      S.RetriesAttempted += Retries;
+      for (const auto &D : Retired) {
+        S.QueueWaitUs.record(D.first.WaitNs / 1000);
+        S.RunUs.record(D.first.RunNs / 1000);
+        S.countOutcome(D.second.Outcome);
+        if (D.first.J.Degraded)
+          ++S.JobsDegraded;
+      }
+    }
+    Retries = 0;
+    for (auto &D : Retired) {
+      InFlight.fetch_sub(1, std::memory_order_relaxed);
+      D.first.J.Promise.set_value(std::move(D.second));
+    }
+    Retired.clear();
+  };
+
+  for (;;) {
+    // A non-drain stop leaves the queue to shutdown(). At cap 1 the
+    // admitted job still finishes, as a running job always has; above
+    // it, admitted jobs are rejected rather than waited for.
+    bool Abort = StopNow();
+    if (Abort && (Cap > 1 || Active.empty()))
+      break;
+
+    // Admit queued jobs into free fiber slots.
+    while (!Abort && Active.size() < Cap) {
+      Job J;
+      {
+        std::lock_guard<std::mutex> L(QueueMu);
+        if (Queue.empty())
+          break;
+        J = std::move(Queue.front());
+        Queue.pop_front();
+      }
+      NotFull.notify_one();
+      uint64_t DequeueNs = nowNanos();
+      uint64_t WaitNs = DequeueNs > J.EnqueueNs ? DequeueNs - J.EnqueueNs : 0;
+      if (Opts.QueueWaitBudgetMs)
+        noteQueueWait(WaitNs / 1000);
+      if (J.DeadlineNs && DequeueNs >= J.DeadlineNs) {
+        // Shed from the queue without running: the deadline already
+        // passed, so any work done now is wasted and delays live jobs.
+        expireJob(J, Idx, WaitNs);
+        continue;
+      }
+      InFlight.fetch_add(1, std::memory_order_relaxed);
+      ActiveJob A;
+      A.J = std::move(J);
+      A.WaitNs = WaitNs;
+      traceJob(*Engine, TraceEv::JobBegin, A.J.Id);
+      // interruptAll() reaches running and parked jobs; an interrupt that
+      // found this engine idle must not evict the next tenant.
+      if (Active.empty())
+        Engine->dropPendingInterrupt();
+      std::string Err;
+      if (uint64_t FiberId = Spawn(A.J, 0, Err)) {
+        Active.emplace(FiberId, std::move(A));
+      } else {
+        JobResult R;
+        R.Error = std::move(Err);
+        R.Kind = ErrorKind::Runtime;
+        Retire(std::move(A), std::move(R));
+      }
+    }
+
+    bool Fatal = false, Parked = false;
+    if (!Active.empty()) {
+      // One scheduler slice: fibers run until a job retires or everything
+      // is parked.
+      Value Status = Engine->runFiberSlice();
+      bool SliceFailed = !Engine->ok();
+      Fatal = SliceFailed && Engine->lastErrorFatal();
+      if (SliceFailed && !Fatal) {
+        // A hard (uncatchable) VM error failed the slice while some fiber
+        // was current; the scheduler state and every other fiber are
+        // intact. Classify the failure onto that fiber and keep serving.
+        ErrorKind K = Engine->lastErrorKind();
+        Value KindSym = Engine->heap().intern(fiberKindOfErrorKind(K));
+        Engine->fibers().failCurrent(Engine->vm(), Engine->lastError(),
+                                     KindSym);
+      }
+      if (!SliceFailed)
+        ConsecutiveFatal = 0;
+
+      for (FiberJobInfo &Info : Engine->takeFinishedFiberJobs()) {
+        auto It = Active.find(Info.Id);
+        if (It == Active.end())
+          continue; // A plain (non-job) fiber.
+        ActiveJob A = std::move(It->second);
+        Active.erase(It);
+        A.RunNs += Info.RunNs;
+        // Transient := interrupt eviction, or an attempt that an injected
+        // fault hit while its fiber was switched in. Ordinary errors and
+        // limit trips are deterministic properties of the job; re-running
+        // them is wasted work. The scheduler's timer wheel serves as the
+        // backoff sleep; retries stop at the deadline and at a non-drain
+        // stop.
+        bool Transient =
+            !Info.Ok && (Info.Kind == "interrupt" || Info.FaultsInjected > 0);
+        if (Transient && A.Attempt < A.J.Retry.MaxAttempts && !StopNow()) {
+          uint64_t BackoffNs =
+              retryBackoffMs(A.J.Retry, A.J.Id, A.Attempt) * 1000000;
+          std::string Err;
+          uint64_t NewId = 0;
+          if (!(A.J.DeadlineNs && nowNanos() + BackoffNs >= A.J.DeadlineNs))
+            NewId = Spawn(A.J, BackoffNs, Err);
+          if (NewId) {
+            ++A.Attempt;
+            ++Retries;
+            Active.emplace(NewId, std::move(A));
+            continue;
+          }
+        }
+        JobResult R;
+        if (Info.Ok) {
+          R.Ok = true;
+          R.Outcome = JobOutcome::Ok;
+          R.Output = std::move(Info.Output);
+        } else {
+          R.Error = std::move(Info.Output);
+          R.Kind = errorKindOfFiberKind(Info.Kind);
+          R.Outcome = jobOutcomeOfErrorKind(R.Kind);
+        }
+        Retire(std::move(A), std::move(R));
+      }
+      // Beyond-reserve failure: every admitted fiber lived in the dying
+      // engine's heap, so they all fail with it.
+      if (Fatal)
+        FailAllActive(jobOutcomeOfErrorKind(Engine->lastErrorKind()),
+                      Engine->lastError(), Engine->lastErrorKind());
+      Parked = !Engine->fiberHasRunnable() &&
+               Status == Engine->heap().intern("idle");
+    }
+    Publish();
+
+    if (Fatal) {
+      // Supervise: per-run governance can no longer vouch for this
+      // engine. Rebuild it in place, or open the breaker.
+      ++ConsecutiveFatal;
+      if (Opts.BreakerThreshold && ConsecutiveFatal >= Opts.BreakerThreshold) {
+        std::lock_guard<std::mutex> L(S.Mu);
+        ++S.BreakerOpens;
+        BreakerOpened = true;
+        break;
+      }
+      uint64_t T0 = nowNanos();
+      retireEngine(Engine, Idx);
+      Engine = buildWorkerEngine(Idx, ++Incarnation);
+      StatsMark = Engine->stats();
+      TraceBuffer &TB = Engine->vm().trace();
+      if (TB.Enabled) {
+        // The rebuild predates the replacement ring's epoch, so the span
+        // renders at the epoch with the true duration carried in Arg.
+        TB.record(TraceEv::WorkerRestartBegin, Idx);
+        TB.record(TraceEv::WorkerRestartEnd, nowNanos() - T0);
+      }
+      std::lock_guard<std::mutex> L(S.Mu);
+      ++S.WorkerRestarts;
+      continue;
+    }
+
+    if (Active.empty()) {
+      std::unique_lock<std::mutex> L(QueueMu);
+      if (Stopping && Queue.empty())
+        break;
+      NotEmpty.wait(L, [&] { return Stopping || !Queue.empty(); });
+      continue;
+    }
+    if (!Parked)
+      continue;
+
+    // Everything parked: sleep until the earliest timer or, with a free
+    // slot, new work.
+    uint64_t TimerNs = Engine->fiberNextTimerDelayNs();
+    if (TimerNs != 0 && Engine->fiberInterruptPending()) {
+      // interruptAll() with everything parked: force the earliest
+      // sleeper due now; its first safe point delivers the trip.
+      Engine->fiberWakeEarliest();
+      continue;
+    }
+    bool NoMoreJobs;
+    {
+      std::lock_guard<std::mutex> L(QueueMu);
+      NoMoreJobs = Stopping && (Queue.empty() || !DrainOnStop);
+    }
+    if (TimerNs == 0 && (NoMoreJobs || Active.size() >= Cap)) {
+      // Only untimed parks are left and no job that could unpark them
+      // can be admitted: they can never finish.
+      if (NoMoreJobs)
+        FailAllActive(JobOutcome::Rejected, "engine pool is shut down",
+                      ErrorKind::Runtime);
+      else
+        FailAllActive(JobOutcome::Error,
+                      "fiber deadlock: every admitted job is parked and no "
+                      "timer is pending",
+                      ErrorKind::Runtime);
+      Publish();
+      continue;
+    }
+    // <=10ms chunks keep interrupts and a non-drain stop responsive. A
+    // worker at its cap cannot take new work, so it does not wait on the
+    // queue: it would only swallow a notify meant for an idle sibling.
+    uint64_t WaitNs = TimerNs == 0 || TimerNs > 10000000 ? 10000000 : TimerNs;
+    if (Active.size() < Cap) {
+      std::unique_lock<std::mutex> L(QueueMu);
+      NotEmpty.wait_for(L, std::chrono::nanoseconds(WaitNs), [&] {
+        return (Stopping && !DrainOnStop) || !Queue.empty();
+      });
+    } else {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(WaitNs));
+    }
+  }
+
+  // A non-drain stop (or the breaker): resolve whatever is still admitted.
+  FailAllActive(JobOutcome::Rejected, "engine pool is shut down",
+                ErrorKind::Runtime);
+  Publish();
+  retireEngine(Engine, Idx);
   bool LastOut = false;
   {
     std::lock_guard<std::mutex> L(QueueMu);
@@ -305,453 +560,29 @@ void EnginePool::workerMain(unsigned Idx) {
   }
 }
 
-void EnginePool::workerFiberMain(unsigned Idx) {
-  uint32_t Incarnation = 0;
-  std::unique_ptr<SchemeEngine> Engine = buildWorkerEngine(Idx, Incarnation);
-  auto ArmFiberMode = [&](SchemeEngine &E) {
-    E.enableFiberPool();
-    // Per-fiber budgets govern run time; heap/stack stay engine-wide
-    // (the heap is shared by every admitted fiber).
-    EngineLimits L = Opts.DefaultJobLimits;
-    L.TimeoutMs = 0;
-    E.limits() = L;
-  };
-  ArmFiberMode(*Engine);
-  uint32_t Cap = Opts.MaxFibersPerWorker ? Opts.MaxFibersPerWorker : 64;
-
-  /// One admitted job, keyed by its current fiber id (retries respawn
-  /// under a fresh id).
-  struct ActiveJob {
-    Job J;
-    uint64_t WaitNs = 0;
-    uint32_t Attempt = 1;
-    uint64_t RunNs = 0; ///< On-CPU ns summed across attempts.
-  };
-  std::map<uint64_t, ActiveJob> Active;
-  VMStats StatsMark = Engine->stats();
-  uint32_t ConsecutiveFatal = 0;
-  bool BreakerOpened = false;
-
-  // The run histogram records *on-CPU* time: parked time is exactly what
-  // this mode exists to not charge for.
-  auto Retire = [&](ActiveJob &A, JobResult R) {
-    WorkerShard &S = *Shards[Idx];
-    {
-      std::lock_guard<std::mutex> L(S.Mu);
-      S.QueueWaitUs.record(A.WaitNs / 1000);
-      S.RunUs.record(A.RunNs / 1000);
-      switch (R.Outcome) {
-      case JobOutcome::Ok:
-        ++S.JobsOk;
-        break;
-      case JobOutcome::TrippedHeap:
-        ++S.TrippedHeap;
-        break;
-      case JobOutcome::TrippedStack:
-        ++S.TrippedStack;
-        break;
-      case JobOutcome::TrippedTimeout:
-        ++S.TrippedTimeout;
-        break;
-      case JobOutcome::TrippedInterrupt:
-        ++S.TrippedInterrupt;
-        break;
-      default:
-        ++S.JobsError;
-      }
-      if (A.J.Degraded)
-        ++S.JobsDegraded;
-    }
-    InFlight.fetch_sub(1, std::memory_order_relaxed);
-    A.J.Promise.set_value(std::move(R));
-  };
-  auto FailAllActive = [&](JobOutcome O, const std::string &Err,
-                           ErrorKind K) {
-    for (auto &E : Active) {
-      JobResult R;
-      R.Ok = false;
-      R.Outcome = O;
-      R.Error = Err;
-      R.Kind = K;
-      R.Attempts = E.second.Attempt;
-      R.Worker = Idx;
-      R.Id = E.second.J.Id;
-      Retire(E.second, std::move(R));
-    }
-    Active.clear();
-  };
-  auto FoldStatsDelta = [&] {
-    VMStats Now = Engine->stats();
-    VMStats Delta = Now.delta(StatsMark);
-    StatsMark = Now;
-    WorkerShard &S = *Shards[Idx];
-    std::lock_guard<std::mutex> L(S.Mu);
-    accumulateStats(S.Engines, Delta);
-    S.TraceDropped = S.TraceDroppedPrior + Engine->trace().dropped();
-    S.ProfileSamples =
-        S.ProfileSamplesPrior + Engine->vm().profiler().total();
-    S.ProfileDropped =
-        S.ProfileDroppedPrior + Engine->vm().profiler().dropped();
-  };
-
-  for (;;) {
-    bool AbortNow;
-    {
-      std::lock_guard<std::mutex> L(QueueMu);
-      AbortNow = Stopping && !DrainOnStop;
-    }
-    if (AbortNow)
-      break;
-
-    // Admit queued jobs into free fiber slots.
-    while (Active.size() < Cap) {
-      Job J;
-      {
-        std::lock_guard<std::mutex> L(QueueMu);
-        if (Queue.empty())
-          break;
-        J = std::move(Queue.front());
-        Queue.pop_front();
-      }
-      NotFull.notify_one();
-      uint64_t DequeueNs = nowNanos();
-      uint64_t WaitNs = DequeueNs > J.EnqueueNs ? DequeueNs - J.EnqueueNs : 0;
-      if (Opts.QueueWaitBudgetMs)
-        noteQueueWait(WaitNs / 1000);
-      if (J.DeadlineNs && DequeueNs >= J.DeadlineNs) {
-        expireJob(J, Idx, WaitNs);
-        continue;
-      }
-      InFlight.fetch_add(1, std::memory_order_relaxed);
-      std::string SpawnErr;
-      uint64_t BudgetNs = J.Limits.TimeoutMs * 1000000ull;
-      uint64_t FiberId = Engine->spawnFiberJob(J.Source, BudgetNs,
-                                               J.DeadlineNs, 0, &SpawnErr);
-      if (!FiberId) {
-        ActiveJob A;
-        A.J = std::move(J);
-        A.WaitNs = WaitNs;
-        JobResult R;
-        R.Ok = false;
-        R.Outcome = JobOutcome::Error;
-        R.Error = SpawnErr;
-        R.Kind = ErrorKind::Runtime;
-        R.Attempts = 1;
-        R.Worker = Idx;
-        R.Id = A.J.Id;
-        Retire(A, std::move(R));
-        continue;
-      }
-      ActiveJob A;
-      A.J = std::move(J);
-      A.WaitNs = WaitNs;
-      Active.emplace(FiberId, std::move(A));
-    }
-
-    if (Active.empty()) {
-      std::unique_lock<std::mutex> L(QueueMu);
-      if (Stopping && Queue.empty())
-        break;
-      if (Queue.empty())
-        NotEmpty.wait(L, [&] { return Stopping || !Queue.empty(); });
-      continue;
-    }
-
-    // One scheduler slice: fibers run until a job retires or everything
-    // is parked.
-    Value Status = Engine->runFiberSlice();
-    bool SliceFailed = !Engine->ok();
-    bool Fatal = SliceFailed && Engine->lastErrorFatal();
-    if (SliceFailed && !Fatal) {
-      // A hard (uncatchable) VM error failed the slice while some fiber
-      // was current; the scheduler state and every other fiber are
-      // intact. Classify the failure onto that fiber and keep serving.
-      ErrorKind K = Engine->lastErrorKind();
-      Value KindSym = Engine->heap().intern(fiberKindOfErrorKind(K));
-      Engine->fibers().failCurrent(Engine->vm(), Engine->lastError(),
-                                   KindSym);
-    }
-    if (!SliceFailed)
-      ConsecutiveFatal = 0;
-
-    for (FiberJobInfo &Info : Engine->takeFinishedFiberJobs()) {
-      auto It = Active.find(Info.Id);
-      if (It == Active.end())
-        continue; // A plain (non-job) fiber, or already failed over.
-      ActiveJob &A = It->second;
-      A.RunNs += Info.RunNs;
-      // Retry: like the blocking pool, only interrupt evictions are
-      // transient. Re-spawn under a fresh fiber id after the backoff
-      // (the scheduler's timer wheel serves as the backoff sleep).
-      if (!Info.Ok && Info.Kind == "interrupt") {
-        uint32_t MaxAttempts =
-            A.J.Retry.MaxAttempts ? A.J.Retry.MaxAttempts : 1;
-        bool Abort;
-        {
-          std::lock_guard<std::mutex> Lk(QueueMu);
-          Abort = Stopping && !DrainOnStop;
-        }
-        if (A.Attempt < MaxAttempts && !Abort) {
-          uint64_t BackoffMs = retryBackoffMs(A.J.Retry, A.J.Id, A.Attempt);
-          uint64_t Now = nowNanos();
-          if (!(A.J.DeadlineNs &&
-                Now + BackoffMs * 1000000 >= A.J.DeadlineNs)) {
-            std::string SpawnErr;
-            uint64_t BudgetNs = A.J.Limits.TimeoutMs * 1000000ull;
-            uint64_t NewId = Engine->spawnFiberJob(
-                A.J.Source, BudgetNs, A.J.DeadlineNs,
-                BackoffMs * 1000000, &SpawnErr);
-            if (NewId) {
-              ActiveJob Moved = std::move(A);
-              Active.erase(It);
-              ++Moved.Attempt;
-              {
-                WorkerShard &S = *Shards[Idx];
-                std::lock_guard<std::mutex> L(S.Mu);
-                ++S.RetriesAttempted;
-              }
-              Active.emplace(NewId, std::move(Moved));
-              continue;
-            }
-          }
-        }
-      }
-      JobResult R;
-      R.Worker = Idx;
-      R.Id = A.J.Id;
-      R.Attempts = A.Attempt;
-      if (Info.Ok) {
-        R.Ok = true;
-        R.Outcome = JobOutcome::Ok;
-        R.Output = std::move(Info.Output);
-      } else {
-        R.Ok = false;
-        R.Error = std::move(Info.Output);
-        R.Kind = errorKindOfFiberKind(Info.Kind);
-        R.Outcome = jobOutcomeOfErrorKind(R.Kind);
-      }
-      Retire(A, std::move(R));
-      Active.erase(It);
-    }
-    FoldStatsDelta();
-
-    if (Fatal) {
-      // Beyond-reserve failure: every admitted fiber lived in the dying
-      // engine's heap, so they all fail with it. Supervise like the
-      // blocking pool: rebuild in place, or open the breaker.
-      FailAllActive(jobOutcomeOfErrorKind(Engine->lastErrorKind()),
-                    Engine->lastError(), Engine->lastErrorKind());
-      ++ConsecutiveFatal;
-      WorkerShard &S = *Shards[Idx];
-      if (Opts.BreakerThreshold &&
-          ConsecutiveFatal >= Opts.BreakerThreshold) {
-        std::lock_guard<std::mutex> L(S.Mu);
-        ++S.BreakerOpens;
-        BreakerOpened = true;
-        break;
-      }
-      uint64_t T0 = nowNanos();
-      {
-        std::lock_guard<std::mutex> L(EnginesMu);
-        Engines[Idx] = nullptr;
-      }
-      retireEngine(*Engine, Idx);
-      Engine.reset();
-      ++Incarnation;
-      Engine = buildWorkerEngine(Idx, Incarnation);
-      ArmFiberMode(*Engine);
-      StatsMark = Engine->stats();
-      TraceBuffer &TB = Engine->vm().trace();
-      if (TB.Enabled) {
-        TB.record(TraceEv::WorkerRestartBegin, Idx);
-        TB.record(TraceEv::WorkerRestartEnd, nowNanos() - T0);
-      }
-      {
-        std::lock_guard<std::mutex> L(S.Mu);
-        ++S.WorkerRestarts;
-      }
-      continue;
-    }
-
-    // Everything parked: sleep until the earliest fiber deadline or new
-    // work, in <=10ms chunks so interrupts stay responsive.
-    if (!Engine->fiberHasRunnable() &&
-        Status == Engine->heap().intern("idle")) {
-      uint64_t TimerNs = Engine->fiberNextTimerDelayNs();
-      if (Engine->fiberInterruptPending() && TimerNs != 0) {
-        // interruptAll() with everything parked: force the earliest
-        // sleeper due now; its first safe point delivers the trip.
-        Engine->fiberWakeEarliest();
-        continue;
-      }
-      bool Draining;
-      {
-        std::lock_guard<std::mutex> L(QueueMu);
-        Draining = Stopping && Queue.empty();
-      }
-      if (Draining && TimerNs == 0) {
-        // Drain shutdown with only untimed parks left: no new job can
-        // ever unpark them, so they can never finish.
-        FailAllActive(JobOutcome::Rejected, "engine pool is shut down",
-                      ErrorKind::Runtime);
-        break;
-      }
-      uint64_t WaitNs = TimerNs;
-      if (WaitNs == 0 || WaitNs > 10000000)
-        WaitNs = 10000000;
-      std::unique_lock<std::mutex> L(QueueMu);
-      if (!Stopping && Queue.empty())
-        NotEmpty.wait_for(L, std::chrono::nanoseconds(WaitNs),
-                          [&] { return Stopping || !Queue.empty(); });
-    }
+void EnginePool::WorkerShard::countOutcome(JobOutcome O) {
+  switch (O) {
+  case JobOutcome::Ok:
+    ++JobsOk;
+    break;
+  case JobOutcome::TrippedHeap:
+    ++TrippedHeap;
+    break;
+  case JobOutcome::TrippedStack:
+    ++TrippedStack;
+    break;
+  case JobOutcome::TrippedTimeout:
+    ++TrippedTimeout;
+    break;
+  case JobOutcome::TrippedInterrupt:
+    ++TrippedInterrupt;
+    break;
+  case JobOutcome::Rejected:
+    ++JobsRejected;
+    break;
+  default:
+    ++JobsError;
   }
-
-  // Non-drain shutdown (or breaker): resolve whatever is still admitted.
-  FailAllActive(JobOutcome::Rejected, "engine pool is shut down",
-                ErrorKind::Runtime);
-  {
-    std::lock_guard<std::mutex> L(EnginesMu);
-    Engines[Idx] = nullptr;
-  }
-  retireEngine(*Engine, Idx);
-  Engine.reset();
-  bool LastOut = false;
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    --LiveWorkers;
-    if (BreakerOpened && LiveWorkers == 0 && !Stopping) {
-      Stopping = true;
-      DrainOnStop = false;
-      LastOut = true;
-    }
-  }
-  if (LastOut) {
-    NotEmpty.notify_all();
-    NotFull.notify_all();
-    rejectQueuedJobs();
-  }
-}
-
-bool EnginePool::runJob(SchemeEngine &Engine, Job &J, unsigned Idx,
-                        uint64_t WaitNs) {
-  InFlight.fetch_add(1, std::memory_order_relaxed);
-
-  TraceBuffer &TB = Engine.vm().trace();
-  char SpanLabel[24];
-  if (TB.Enabled) {
-    int Len = std::snprintf(SpanLabel, sizeof(SpanLabel), "job-%" PRIu64, J.Id);
-    TB.record(TraceEv::JobBegin, SpanLabel, static_cast<size_t>(Len), J.Id);
-  }
-
-  JobResult R;
-  R.Worker = Idx;
-  R.Id = J.Id;
-  bool Fatal = false;
-  uint64_t RunNs = 0;
-  uint64_t Retries = 0;
-  VMStats JobDelta;
-  uint32_t MaxAttempts = J.Retry.MaxAttempts ? J.Retry.MaxAttempts : 1;
-  uint32_t Attempt = 0;
-  for (;;) {
-    ++Attempt;
-    EngineLimits L = J.Limits;
-    if (J.DeadlineNs) {
-      // Fold the remaining deadline into the attempt's timeout so the job
-      // cannot run past its deadline by more than a safe-point interval.
-      uint64_t Now = nowNanos();
-      uint64_t RemainingMs =
-          J.DeadlineNs > Now ? (J.DeadlineNs - Now) / 1000000 : 0;
-      if (RemainingMs == 0)
-        RemainingMs = 1; // Dequeued at the edge: minimal budget.
-      L.TimeoutMs = L.TimeoutMs ? std::min(L.TimeoutMs, RemainingMs)
-                                : RemainingMs;
-    }
-    Engine.limits() = L;
-    VMStats Before = Engine.stats();
-    uint64_t A0 = nowNanos();
-    R.Output = Engine.evalToString(J.Source);
-    RunNs += nowNanos() - A0;
-    VMStats Delta = Engine.stats().delta(Before);
-    accumulateStats(JobDelta, Delta);
-    if (Engine.ok()) {
-      R.Ok = true;
-      R.Outcome = JobOutcome::Ok;
-      R.Error.clear();
-      R.Kind = ErrorKind::None;
-      break;
-    }
-    R.Output.clear();
-    R.Error = Engine.lastError();
-    R.Kind = Engine.lastErrorKind();
-    R.Outcome = jobOutcomeOfErrorKind(R.Kind);
-    Fatal = Engine.lastErrorFatal();
-    if (Fatal)
-      break; // Supervision territory, never a retry.
-    // Transient := interrupt eviction or an attempt that saw injected
-    // faults. Ordinary errors and limit trips are deterministic
-    // properties of the job; re-running them is wasted work.
-    bool Transient =
-        R.Kind == ErrorKind::Interrupt || Delta.FaultsInjected > 0;
-    if (!Transient || Attempt >= MaxAttempts)
-      break;
-    uint64_t BackoffMs = retryBackoffMs(J.Retry, J.Id, Attempt);
-    uint64_t Now = nowNanos();
-    if (J.DeadlineNs && Now + BackoffMs * 1000000 >= J.DeadlineNs)
-      break; // The retry could not finish in time anyway.
-    bool Abort;
-    {
-      std::lock_guard<std::mutex> Lk(QueueMu);
-      Abort = Stopping && !DrainOnStop;
-    }
-    if (Abort)
-      break;
-    ++Retries;
-    if (BackoffMs)
-      std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMs));
-  }
-  R.Attempts = Attempt;
-
-  if (TB.Enabled)
-    TB.record(TraceEv::JobEnd, J.Id);
-
-  SamplingProfiler &Prof = Engine.vm().profiler();
-  {
-    // The whole job delta retires in one critical section (see the
-    // consistency model in pool.h).
-    WorkerShard &S = *Shards[Idx];
-    std::lock_guard<std::mutex> L(S.Mu);
-    S.QueueWaitUs.record(WaitNs / 1000);
-    S.RunUs.record(RunNs / 1000);
-    switch (R.Outcome) {
-    case JobOutcome::Ok:
-      ++S.JobsOk;
-      break;
-    case JobOutcome::TrippedHeap:
-      ++S.TrippedHeap;
-      break;
-    case JobOutcome::TrippedStack:
-      ++S.TrippedStack;
-      break;
-    case JobOutcome::TrippedTimeout:
-      ++S.TrippedTimeout;
-      break;
-    case JobOutcome::TrippedInterrupt:
-      ++S.TrippedInterrupt;
-      break;
-    default:
-      ++S.JobsError;
-    }
-    S.RetriesAttempted += Retries;
-    if (J.Degraded)
-      ++S.JobsDegraded;
-    accumulateStats(S.Engines, JobDelta);
-    S.TraceDropped = S.TraceDroppedPrior + TB.dropped();
-    S.ProfileSamples = S.ProfileSamplesPrior + Prof.total();
-    S.ProfileDropped = S.ProfileDroppedPrior + Prof.dropped();
-  }
-  InFlight.fetch_sub(1, std::memory_order_relaxed);
-  J.Promise.set_value(std::move(R));
-  return Fatal;
 }
 
 void EnginePool::expireJob(Job &J, unsigned Idx, uint64_t WaitNs) {
@@ -1031,6 +862,7 @@ PoolTelemetry EnginePool::telemetry() const {
     T.TrippedTimeout += S.TrippedTimeout;
     T.TrippedInterrupt += S.TrippedInterrupt;
     T.JobsExpired += S.JobsExpired;
+    T.Stats.JobsRejected += S.JobsRejected;
     T.WorkerRestarts += S.WorkerRestarts;
     T.BreakerOpens += S.BreakerOpens;
     T.RetriesAttempted += S.RetriesAttempted;
@@ -1069,7 +901,7 @@ MetricsRegistry EnginePool::buildMetrics() const {
           static_cast<double>(Opts.QueueCapacity));
   R.gauge("cmarks_pool_queue_high_water", "Maximum queue depth observed", {},
           static_cast<double>(T.Stats.QueueHighWater));
-  R.gauge("cmarks_pool_inflight_jobs", "Jobs evaluating right now", {},
+  R.gauge("cmarks_pool_inflight_jobs", "Jobs admitted right now", {},
           static_cast<double>(T.InFlight));
   R.gauge("cmarks_pool_pressure_active",
           "1 while graceful degradation is tightening default job limits",
@@ -1118,7 +950,7 @@ MetricsRegistry EnginePool::buildMetrics() const {
 
   R.histogram("cmarks_pool_queue_wait_seconds",
               "Per-job submit-to-dequeue wait", {}, T.QueueWaitUs, 1e-6);
-  R.histogram("cmarks_pool_job_run_seconds", "Per-job evaluation time", {},
+  R.histogram("cmarks_pool_job_run_seconds", "Per-job on-CPU time", {},
               T.RunUs, 1e-6);
 
   R.counter("cmarks_pool_trace_dropped_events_total",

@@ -12,10 +12,28 @@
 /// Jobs are source strings and results are external representations
 /// (strings): Values are owned by a worker's heap and must not escape
 /// its thread, so the API exchanges only plain data. Each job carries
-/// its own EngineLimits (defaulted from PoolOptions), which is how a
-/// serving deployment evicts stuck requests — a job that trips its
-/// timeout/heap/stack budget fails alone; the worker engine recovers
-/// and keeps serving (support/limits.h).
+/// its own EngineLimits (defaulted from PoolOptions).
+///
+/// One worker loop (DESIGN.md §16): every job runs as a fiber on its
+/// worker's engine. A worker admits queued jobs up to its admission cap,
+/// runs scheduler slices until a job retires or every admitted job is
+/// parked (sleep-ms, channel waits), retires finished jobs, and sleeps
+/// until its earliest timer or, with a free slot, new work. The cap is
+/// PoolOptions::MaxFibersPerWorker with EnableFibers and 1 without it. At
+/// every cap a job's forms are all read and compiled before any of them
+/// runs, so a job whose later form fails to compile runs none of them.
+///
+/// Cap 1 makes each job its engine's only tenant, which buys three rules
+/// a shared engine cannot keep:
+///  - the job's heap and stack budgets are the engine's, so a job that
+///    exhausts them fails alone and the engine recovers (limits.h);
+///  - TimeoutMs is wall-clock from the attempt's start, parked time
+///    included (it is folded into the fiber's deadline);
+///  - a non-drain shutdown lets the admitted job finish.
+/// Above cap 1 co-resident jobs share the engine-wide heap and stack
+/// budgets of DefaultJobLimits (a job's own are not enforced), TimeoutMs
+/// budgets on-CPU time only, and a non-drain shutdown rejects admitted
+/// jobs instead of waiting for them.
 ///
 /// Failure model (DESIGN.md §14): every job retires with exactly one
 /// typed JobOutcome. The resilience layer has four pillars:
@@ -23,10 +41,11 @@
 ///  - *Worker supervision.* A catchable limit trip is business as usual,
 ///    but a failure that escalated past the PR 3 reserve
 ///    (SchemeEngine::lastErrorFatal — the program burned through its own
-///    recovery slab) marks the engine wounded: the worker rebuilds its
-///    engine in place (counted in WorkerRestarts, traced as a
-///    "worker-restart" span in the replacement engine's ring). After
-///    PoolOptions::BreakerThreshold *consecutive* fatal jobs the
+///    recovery slab) marks the engine wounded: every job admitted on it
+///    fails with it, and the worker rebuilds its engine in place
+///    (counted in WorkerRestarts, traced as a "worker-restart" span in
+///    the replacement engine's ring). After
+///    PoolOptions::BreakerThreshold *consecutive* fatal slices the
 ///    worker's circuit breaker opens and it retires instead of
 ///    rebuild-looping; when the last live worker retires this way, the
 ///    pool stops accepting work and rejects what is queued, so no
@@ -34,17 +53,17 @@
 ///  - *Deadlines.* A job may carry an absolute deadline (relative
 ///    DeadlineMs fixed at submit). A job whose deadline passes while it
 ///    waits is shed from the queue without running (Outcome Expired);
-///    one that is dequeued in time has its remaining deadline folded
-///    into its EngineLimits timeout, so a job can never run past its
+///    one admitted in time runs under the deadline as its fiber's
+///    wall-clock limit, parked or not, so it can never run past its
 ///    deadline by more than one safe-point interval.
 ///  - *Retry with backoff.* Opt-in (RetryPolicy) for idempotent jobs:
-///    failures classified transient — an interrupt eviction or an
-///    injected fault (VMStats::FaultsInjected delta) — are re-run up to
-///    MaxAttempts with capped exponential backoff. Jitter is
-///    deterministic per job id (retryBackoffMs is a pure function), so
-///    chaos runs replay exactly. Fatal failures and ordinary errors
-///    never retry; retries stop at the deadline and during a non-drain
-///    shutdown.
+///    failures classified transient — an interrupt eviction, or a fault
+///    injected while the job's fiber was switched in
+///    (FiberJobInfo::FaultsInjected) — are re-run up to MaxAttempts with
+///    capped exponential backoff. Jitter is deterministic per job id
+///    (retryBackoffMs is a pure function), so chaos runs replay exactly.
+///    Fatal failures and ordinary errors never retry; retries stop at
+///    the deadline and during a non-drain shutdown.
 ///  - *Overload control.* With QueueWaitBudgetMs armed, the pool tracks
 ///    a sliding window of recent queue waits; while the window's p99
 ///    exceeds the budget, new submissions are shed at the door (Outcome
@@ -56,24 +75,27 @@
 ///    to start.
 ///
 /// Serving telemetry (DESIGN.md §13): every job records its queue wait,
-/// run time, and outcome into log-bucketed histograms; metricsText()/
-/// metricsJson() export a Prometheus / `cmarks-metrics-v1` snapshot.
-/// With PoolOptions::TraceCapacity set, jobs render as named "job-<id>"
-/// spans in a merged per-worker Perfetto timeline (traceJson()); with
-/// PoolOptions::ProfileHz set, every worker runs the safe-point sampling
-/// profiler and profileCollapsed() aggregates a pool-wide flamegraph.
+/// on-CPU run time, and outcome into log-bucketed histograms;
+/// metricsText()/metricsJson() export a Prometheus / `cmarks-metrics-v1`
+/// snapshot. With PoolOptions::TraceCapacity set, jobs render as
+/// "job-<id>" async slices keyed by the job id (jobs interleave on a
+/// worker's thread) in a merged per-worker Perfetto timeline
+/// (traceJson()); with PoolOptions::ProfileHz set, every worker runs the
+/// safe-point sampling profiler and profileCollapsed() aggregates a
+/// pool-wide flamegraph.
 ///
-/// Consistency model of stats()/telemetry(): a job retires by publishing
-/// its whole delta — outcome counter, engine-stats delta, and histogram
-/// samples — in one critical section on its worker's shard mutex, and
-/// readers visit each shard under the same mutex. A read during load can
-/// therefore never observe a torn, half-retired job (e.g. a completion
-/// counted whose engine stats are missing). The shard mutex is
-/// per-worker and only ever contended by a reader, so the retirement
-/// path stays effectively uncontended at any worker count. Cross-worker
-/// skew remains: jobs retiring while a reader walks the shards appear in
+/// Consistency model of stats()/telemetry(): after each scheduler slice
+/// a worker publishes the slice's engine-stats delta together with every
+/// job that retired in it — outcome counters and histogram samples — in
+/// one critical section on its shard mutex, before resolving their
+/// futures; readers visit each shard under the same mutex. A read during
+/// load can therefore never observe a torn, half-retired job (e.g. a
+/// completion counted whose engine stats are missing). The shard mutex
+/// is per-worker and only ever contended by a reader, so retirement
+/// stays effectively uncontended at any worker count. Cross-worker skew
+/// remains: jobs retiring while a reader walks the shards appear in
 /// later shards but not earlier ones — totals are monotone
-/// between-jobs-consistent snapshots, not a global stop-the-world cut.
+/// between-slices-consistent snapshots, not a global stop-the-world cut.
 ///
 /// Typical use:
 /// \code
@@ -232,7 +254,8 @@ struct PoolOptions {
   EngineOptions Engine;
   /// Budgets installed for jobs submitted without explicit limits. The
   /// zero default means ungoverned; serving deployments should at least
-  /// arm TimeoutMs so a stuck request cannot retire a worker.
+  /// arm TimeoutMs so a stuck request cannot retire a worker. Above cap 1
+  /// its heap and stack budgets are the ones co-resident jobs share.
   EngineLimits DefaultJobLimits;
   /// Deadline applied to jobs submitted without an explicit one, in ms
   /// relative to submit. 0 = no default deadline.
@@ -275,16 +298,13 @@ struct PoolOptions {
   /// Per-worker profile sample ring (0 = SamplingProfiler::DefaultCapacity).
   uint32_t ProfileCapacity = 0;
   /// Cooperative fiber multiplexing (DESIGN.md §16): each worker admits
-  /// up to MaxFibersPerWorker jobs as fibers over its one engine. A job
-  /// that parks (sleep-ms, channel wait) releases the worker to run other
-  /// admitted jobs instead of blocking the thread, so M >> N jobs with
-  /// backend-style waits multiplex over N workers. Per-job TimeoutMs
-  /// governs *on-CPU* time (parked time is excluded); deadlines stay
-  /// wall-clock. Heap/stack budgets are engine-wide in this mode, and
-  /// retry classifies only interrupt evictions as transient (per-fiber
-  /// fault attribution is not possible on a shared engine).
+  /// up to MaxFibersPerWorker jobs as fibers over its one engine, so a
+  /// job that parks (sleep-ms, channel wait) lets the worker run the
+  /// others and M >> N jobs with backend-style waits share N workers.
+  /// Off, the admission cap is 1 and each job owns its engine: per-job
+  /// heap/stack budgets and wall-clock TimeoutMs (see the cap rules above).
   bool EnableFibers = false;
-  /// Max jobs admitted as fibers per worker (0 = 64).
+  /// Admission cap per worker with EnableFibers (0 = 64).
   uint32_t MaxFibersPerWorker = 64;
 };
 
@@ -316,8 +336,9 @@ struct PoolTelemetry {
   PoolStats Stats;
   LogHistogram QueueWaitUs; ///< Per-dequeued-job submit -> dequeue wait
                             ///< (µs); includes jobs that expired there.
-  LogHistogram RunUs;       ///< Per-run-job evaluation time (µs), summed
-                            ///< across retry attempts (backoff excluded).
+  LogHistogram RunUs;       ///< Per-run-job on-CPU time (µs), summed
+                            ///< across retry attempts (parked time and
+                            ///< backoff excluded).
   uint64_t JobsOk = 0;
   uint64_t JobsError = 0; ///< Ordinary runtime errors.
   uint64_t TrippedHeap = 0;
@@ -336,7 +357,7 @@ struct PoolTelemetry {
   uint64_t ProfileSamples = 0; ///< Samples captured across workers.
   uint64_t ProfileDropped = 0; ///< Samples lost to ring wraparound.
   uint64_t QueueDepth = 0;     ///< Jobs waiting right now.
-  uint64_t InFlight = 0;       ///< Jobs evaluating right now.
+  uint64_t InFlight = 0;       ///< Jobs admitted right now (incl. parked).
   uint64_t LiveWorkers = 0;    ///< Workers still serving (breakers shut).
   bool PressureActive = false; ///< Degradation threshold currently exceeded.
 };
@@ -373,16 +394,17 @@ public:
 
   /// Stops the pool and joins the workers. Drain=true finishes queued
   /// jobs first; Drain=false rejects them (their futures resolve with
-  /// Outcome Rejected). Running jobs always finish — combine with
-  /// interruptAll() to evict them promptly. Submitters blocked on
+  /// Outcome Rejected). At cap 1 the admitted job still finishes —
+  /// combine with interruptAll() to evict it promptly; above cap 1
+  /// admitted jobs are rejected too. Submitters blocked on
   /// backpressure are woken and rejected in both modes. Idempotent; the
   /// first call's Drain wins.
   void shutdown(bool Drain = true);
 
-  /// Asks every currently-running evaluation to stop at its next safe
-  /// point (delivered as a catchable exn:interrupt?, see support/
-  /// limits.h). Idle engines are unaffected: a pending interrupt is
-  /// cleared when the next run re-arms governance.
+  /// Asks every admitted job, running or parked, to stop at its next
+  /// safe point (delivered as a catchable exn:interrupt?, see support/
+  /// limits.h). Idle engines are unaffected: an interrupt that finds no
+  /// admitted job is dropped before the next one is admitted.
   void interruptAll();
 
   unsigned workerCount() const {
@@ -445,6 +467,7 @@ private:
     uint64_t TrippedTimeout = 0;
     uint64_t TrippedInterrupt = 0;
     uint64_t JobsExpired = 0;
+    uint64_t JobsRejected = 0; ///< Admitted, then rejected by a stop.
     uint64_t WorkerRestarts = 0;
     uint64_t BreakerOpens = 0;
     uint64_t RetriesAttempted = 0;
@@ -465,18 +488,20 @@ private:
     /// Folded collapsed-stack counts (ProfileHz mode), merged across
     /// incarnations.
     std::map<std::string, uint64_t> ProfileFold;
+
+    /// Counts one retired job under its outcome's counter.
+    void countOutcome(JobOutcome O);
   };
 
+  /// The worker loop: admits queued jobs as fibers up to the admission
+  /// cap, runs scheduler slices, retires finished jobs, and supervises
+  /// the engine.
   void workerMain(unsigned Idx);
-  /// Cooperative worker loop (PoolOptions::EnableFibers): admits queued
-  /// jobs as fibers, slices the scheduler, and retires finished jobs.
-  void workerFiberMain(unsigned Idx);
   std::unique_ptr<SchemeEngine> buildWorkerEngine(unsigned Idx,
                                                   uint32_t Incarnation);
-  void retireEngine(SchemeEngine &Engine, unsigned Idx);
-  /// Runs J (including its retry loop) on Engine; true when the failure
-  /// was fatal (beyond-reserve) and the caller must rebuild the engine.
-  bool runJob(SchemeEngine &Engine, Job &J, unsigned Idx, uint64_t WaitNs);
+  /// Unpublishes the engine, snapshots its trace/profile into the shard,
+  /// and destroys it.
+  void retireEngine(std::unique_ptr<SchemeEngine> &Engine, unsigned Idx);
   void expireJob(Job &J, unsigned Idx, uint64_t WaitNs);
   static void rejectJob(Job &J);
   void shedJob(Job &J, uint64_t WindowP99Us);

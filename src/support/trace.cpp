@@ -11,6 +11,7 @@
 #include "support/timing.h"
 
 #include <cstring>
+#include <map>
 
 using namespace cmk;
 
@@ -37,8 +38,8 @@ static const TraceEventDesc Descs[] = {
     {"span", "scheme", 'B', false},
     {"span", "scheme", 'E', false},
     {"snapshot", "scheme", 'i', false},
-    {"job", "job", 'B', false},
-    {"job", "job", 'E', false},
+    {"job", "job", 'b', false},
+    {"job", "job", 'e', false},
     {"worker-restart", "supervision", 'B', false},
     {"worker-restart", "supervision", 'E', false},
     {"segment-recycle", "segment", 'i', false},
@@ -139,6 +140,7 @@ void appendEscaped(std::string &Out, const char *S) {
 
 /// Appends one Chrome trace-event object. \p Ts is microseconds relative
 /// to the trace epoch; \p Name overrides the descriptor name when given.
+/// Async phases ('b'/'e') carry \p Arg as their id.
 void appendEvent(std::string &Out, const TraceEventDesc &D, char Phase,
                  double Ts, const char *Name, uint64_t Arg, bool First,
                  int Tid = 1) {
@@ -153,7 +155,12 @@ void appendEvent(std::string &Out, const TraceEventDesc &D, char Phase,
                 "\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":%d", Phase, Ts,
                 Tid);
   Out += Buf;
-  if (Phase != 'E') {
+  if (Phase == 'b' || Phase == 'e') {
+    std::snprintf(Buf, sizeof(Buf), ",\"id\":%llu",
+                  static_cast<unsigned long long>(Arg));
+    Out += Buf;
+  }
+  if (Phase != 'E' && Phase != 'e') {
     std::snprintf(Buf, sizeof(Buf),
                   ",\"args\":{\"n\":%llu}",
                   static_cast<unsigned long long>(Arg));
@@ -166,7 +173,8 @@ void appendEvent(std::string &Out, const TraceEventDesc &D, char Phase,
 /// \p EpochNs, repairing Begin/End balance exactly as toJson always has:
 /// orphaned Ends are dropped, unclosed Begins are closed at the final
 /// timestamp. The export-side stack is per buffer — spans never cross
-/// engines.
+/// engines. Async slices (pool jobs, which interleave on one thread) are
+/// repaired the same way, matched by id instead of by nesting.
 void appendBufferEvents(std::string &Out, const TraceBuffer &TB,
                         uint64_t EpochNs, int Tid) {
   struct OpenSpan {
@@ -174,6 +182,7 @@ void appendBufferEvents(std::string &Out, const TraceBuffer &TB,
     std::string Name;
   };
   std::vector<OpenSpan> Open;
+  std::map<uint64_t, OpenSpan> OpenAsync;
 
   int NumDescs = 0;
   const TraceEventDesc *DTable = traceEventDescs(NumDescs);
@@ -190,6 +199,17 @@ void appendBufferEvents(std::string &Out, const TraceBuffer &TB,
       const char *Name = E.Label[0] ? E.Label : D.Name;
       appendEvent(Out, D, 'B', Ts, Name, E.Arg, false, Tid);
       Open.push_back({&D, Name});
+    } else if (D.Phase == 'b') {
+      const char *Name = E.Label[0] ? E.Label : D.Name;
+      appendEvent(Out, D, 'b', Ts, Name, E.Arg, false, Tid);
+      OpenAsync[E.Arg] = {&D, Name};
+    } else if (D.Phase == 'e') {
+      auto It = OpenAsync.find(E.Arg);
+      if (It == OpenAsync.end())
+        continue;
+      appendEvent(Out, D, 'e', Ts, It->second.Name.c_str(), E.Arg, false,
+                  Tid);
+      OpenAsync.erase(It);
     } else if (D.Phase == 'E') {
       // An End with no matching Begin in the retained window (ring
       // wraparound dropped it, or a continuation jump skipped the Begin):
@@ -210,6 +230,9 @@ void appendBufferEvents(std::string &Out, const TraceBuffer &TB,
                 false, Tid);
     Open.pop_back();
   }
+  for (const auto &KV : OpenAsync)
+    appendEvent(Out, *KV.second.D, 'e', LastTs, KV.second.Name.c_str(),
+                KV.first, false, Tid);
 }
 
 } // namespace

@@ -29,8 +29,9 @@
 /// continuation jumps.
 ///
 /// The export format is Chrome trace-event JSON ("traceEvents" array of
-/// B/E/i phases, microsecond timestamps), loadable in ui.perfetto.dev or
-/// chrome://tracing, tagged with schema "cmarks-trace-v1" in otherData.
+/// B/E/i phases plus b/e async slices keyed by id, microsecond
+/// timestamps), loadable in ui.perfetto.dev or chrome://tracing, tagged
+/// with schema "cmarks-trace-v1" in otherData.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,9 +83,10 @@ enum class TraceEv : uint8_t {
   SpanEnd,         ///< Labeled user span closed.
   Instant,         ///< Labeled user instant (stack snapshots).
   // --- Cheap tier: serving-job correlation (support/pool.h) -----------------
-  JobBegin,        ///< Pool job started on this engine (label "job-<id>",
-                   ///< arg = job id; Begin).
-  JobEnd,          ///< Pool job finished (End).
+  JobBegin,        ///< Pool job admitted on this engine (label "job-<id>",
+                   ///< arg = job id; async begin keyed by the id, since
+                   ///< jobs interleave on one worker thread).
+  JobEnd,          ///< Pool job retired (same label and id; async end).
   // --- Cheap tier: worker supervision (support/pool.h) ----------------------
   WorkerRestartBegin, ///< Pool worker began rebuilding its engine after a
                       ///< fatal (beyond-reserve) job failure (arg = worker
@@ -123,7 +125,8 @@ static_assert(sizeof(TraceEvent) == 40, "keep the ring buffer dense");
 struct TraceEventDesc {
   const char *Name;     ///< Kebab-case, e.g. "underflow-fuse".
   const char *Category; ///< Perfetto category, e.g. "reify", "marks".
-  char Phase;           ///< 'B' begin, 'E' end, 'i' instant.
+  char Phase;           ///< 'B' begin, 'E' end, 'i' instant; 'b'/'e'
+                        ///< async begin/end, matched by Arg as id.
   bool Detail;          ///< True for detail-tier events.
 };
 

@@ -83,6 +83,7 @@ Value FiberScheduler::captureHere(VM &M) {
 
 void FiberScheduler::armBudget(VM &M, FiberObj *F) {
   SliceStartNs = nowNanos();
+  SliceStartFaults = M.Stats.FaultsInjected;
   uint64_t DeadNs = 0;
   if (F->BudgetNs)
     DeadNs = SliceStartNs + F->BudgetNs;
@@ -102,10 +103,12 @@ void FiberScheduler::armBudget(VM &M, FiberObj *F) {
   }
 }
 
-void FiberScheduler::noteSwitchOut(FiberObj *F) {
+void FiberScheduler::noteSwitchOut(VM &M, FiberObj *F) {
   uint64_t Now = nowNanos();
   uint64_t Ran = Now > SliceStartNs ? Now - SliceStartNs : 0;
   F->RunNs += Ran;
+  F->FaultsInjected += M.Stats.FaultsInjected - SliceStartFaults;
+  SliceStartFaults = M.Stats.FaultsInjected;
   if (F->BudgetNs) {
     // Keep an exhausted budget nonzero so the next switch-in still arms an
     // (already past) deadline instead of reading 0 as "unlimited".
@@ -332,7 +335,7 @@ void FiberScheduler::yieldCurrent(VM &M) {
   F->setState(FiberState::Runnable);
   RunQueue.push_back(FRoot.get());
   ++M.Stats.FiberParks;
-  noteSwitchOut(F);
+  noteSwitchOut(M, F);
   Current = Value::undefined();
   dispatchNext(M); // Cannot deadlock: the queue was nonempty.
 }
@@ -359,7 +362,7 @@ void FiberScheduler::parkCurrent(VM &M, uint64_t DueNs) {
   if (Due)
     addTimer(FRoot.get(), Due);
   ++M.Stats.FiberParks;
-  noteSwitchOut(F);
+  noteSwitchOut(M, F);
   Current = Value::undefined();
   if (!dispatchNext(M)) {
     // Deadlock: every fiber is parked with no timer. Revert the park and
@@ -417,7 +420,7 @@ void FiberScheduler::finishCurrent(VM &M, Value FV, bool Ok, Value Result,
   }
   GCRoot FRoot(M.heap(), FV);
   FiberObj *F = asFiber(FV);
-  noteSwitchOut(F);
+  noteSwitchOut(M, F);
   F->Result = Result;
   F->ErrKindSym = KindSym;
   if (!Ok)
@@ -451,6 +454,7 @@ void FiberScheduler::failCurrent(VM &M, const std::string &Msg,
     return;
   GCRoot KRoot(M.heap(), KindSym);
   GCRoot FRoot(M.heap(), Current);
+  noteSwitchOut(M, asFiber(Current));
   Value MsgV = M.heap().makeString(Msg);
   FiberObj *F = asFiber(FRoot.get());
   F->Result = MsgV;

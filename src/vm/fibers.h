@@ -32,7 +32,8 @@
 /// in, so parked time never counts against a pool job's run-time budget
 /// (per-fiber BudgetNs) — only the wall-clock job deadline (JobDeadlineNs)
 /// keeps ticking while parked, which is exactly the deadline/timeout split
-/// the pool's telemetry reports.
+/// the pool's telemetry reports. FaultsInjected is charged the same way,
+/// so the pool can tell which job an injected fault hit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -187,8 +188,9 @@ private:
   /// Arms the VM deadline from the fiber's remaining budget and job
   /// deadline; stamps the slice clock.
   void armBudget(VM &M, FiberObj *F);
-  /// Accumulates RunNs and burns BudgetNs for the outgoing fiber.
-  void noteSwitchOut(FiberObj *F);
+  /// Accumulates RunNs and FaultsInjected and burns BudgetNs for the
+  /// outgoing fiber.
+  void noteSwitchOut(VM &M, FiberObj *F);
   void wakeJoiners(VM &M, FiberObj *F);
   void addTimer(Value FV, uint64_t Due);
   /// A full continuation record that resumes at the VM's Halt instruction
@@ -206,6 +208,7 @@ private:
   uint64_t NextId = 1;
   uint64_t Live = 0;         ///< Spawned fibers not yet Done.
   uint64_t SliceStartNs = 0; ///< When the current fiber was switched in.
+  uint64_t SliceStartFaults = 0; ///< VMStats::FaultsInjected at switch-in.
 };
 
 /// Registers the fiber natives (vm/fibers.cpp).

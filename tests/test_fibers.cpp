@@ -485,6 +485,9 @@ TEST(FiberPoolTest, DeadlinesExpireParkedJobs) {
   O.Workers = 1;
   O.EnableFibers = true;
   EnginePool Pool(O);
+  // Warm first: engine construction can outlast the deadline on a slow
+  // host (TSan), and a job that expires queued never parks.
+  EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
   SubmitOptions SO;
   SO.deadlineMs(60);
   JobResult R = Pool.submit("(begin (sleep-ms 5000) 'late)", SO).get();
@@ -497,6 +500,11 @@ TEST(FiberPoolTest, InterruptAllReachesParkedJobs) {
   O.EnableFibers = true;
   EnginePool Pool(O);
   auto F = Pool.submit("(begin (sleep-ms 5000) 'late)");
+  // An interrupt that finds no admitted job is dropped, so wait for the
+  // admission (engine construction can take 100ms+ under TSan), then for
+  // the park.
+  while (Pool.telemetry().InFlight == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Pool.interruptAll();
   JobResult R = F.get();

@@ -6,13 +6,23 @@
 // raw concurrent-engines smoke the ThreadSanitizer CI leg runs (which
 // caught the shared procedure-name scratch buffer; see DESIGN.md §11).
 //
+// The pool has one worker loop whose admission cap is 1 without
+// EnableFibers and MaxFibersPerWorker with it. Each POOL_TEST body takes
+// the mode as a parameter and runs at both caps: PoolTest.<name> at cap 1
+// and PoolCap16Test.<name> at cap 16. A plain TEST(PoolTest, ...) holds
+// only at cap 1, and says why.
+//
 //===----------------------------------------------------------------------===//
 
 #include "support/pool.h"
+#include "support/timing.h"
 
 #include "test_helpers.h"
 
 #include <atomic>
+#include <ctime>
+#include <map>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +30,36 @@
 using namespace cmk;
 
 namespace {
+
+/// One admission cap under test.
+struct PoolMode {
+  bool Fibers;
+
+  uint32_t cap() const { return Fibers ? 16 : 1; }
+  /// Pool options for \p Workers workers at this cap.
+  PoolOptions options(unsigned Workers) const {
+    PoolOptions O;
+    O.Workers = Workers;
+    O.EnableFibers = Fibers;
+    O.MaxFibersPerWorker = cap();
+    return O;
+  }
+};
+
+/// Defines a test body that runs once per cap.
+#define POOL_TEST(Name)                                                        \
+  void Name##Body(const PoolMode &Mode);                                       \
+  TEST(PoolTest, Name) { Name##Body(PoolMode{false}); }                        \
+  TEST(PoolCap16Test, Name) { Name##Body(PoolMode{true}); }                    \
+  void Name##Body(const PoolMode &Mode)
+
+/// CPU time consumed by this process so far, in ns.
+uint64_t processCpuNs() {
+  timespec Ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &Ts);
+  return static_cast<uint64_t>(Ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(Ts.tv_nsec);
+}
 
 /// A small job vocabulary: self-contained expressions (no global state)
 /// so serial and pooled evaluation must agree exactly.
@@ -40,7 +80,7 @@ std::vector<std::string> mixedJobs() {
   };
 }
 
-TEST(PoolTest, ResultsMatchSerialExecution) {
+POOL_TEST(ResultsMatchSerialExecution) {
   std::vector<std::string> Jobs = mixedJobs();
   // Serial reference: one engine, in order.
   std::vector<std::string> Expected;
@@ -51,8 +91,7 @@ TEST(PoolTest, ResultsMatchSerialExecution) {
       ASSERT_TRUE(Serial.ok()) << Serial.lastError();
     }
   }
-  PoolOptions O;
-  O.Workers = 4;
+  PoolOptions O = Mode.options(4);
   EnginePool Pool(O);
   // Several rounds so every worker sees several job kinds.
   std::vector<std::future<JobResult>> Futures;
@@ -73,9 +112,8 @@ TEST(PoolTest, ResultsMatchSerialExecution) {
   EXPECT_EQ(S.JobsRejected, 0u);
 }
 
-TEST(PoolTest, WorkerIsolationOfMarksAndParameters) {
-  PoolOptions O;
-  O.Workers = 4;
+POOL_TEST(WorkerIsolationOfMarksAndParameters) {
+  PoolOptions O = Mode.options(4);
   EnginePool Pool(O);
   // Every job binds the same mark key and a fresh parameter to its own
   // index; concurrent jobs on sibling workers must never observe each
@@ -98,6 +136,7 @@ TEST(PoolTest, WorkerIsolationOfMarksAndParameters) {
   }
 }
 
+// Cap 1 only: a per-job heap ceiling is the engine's only at cap 1.
 TEST(PoolTest, LimitTripOnOneJobDoesNotPoisonSiblings) {
   PoolOptions O;
   O.Workers = 2;
@@ -142,11 +181,10 @@ TEST(PoolTest, LimitTripOnOneJobDoesNotPoisonSiblings) {
   EXPECT_GE(S.Engines.LimitHeapTrips, 1u);
 }
 
-TEST(PoolTest, DrainShutdownFinishesQueuedJobs) {
+POOL_TEST(DrainShutdownFinishesQueuedJobs) {
   std::vector<std::future<JobResult>> Futures;
   {
-    PoolOptions O;
-    O.Workers = 2;
+    PoolOptions O = Mode.options(2);
     EnginePool Pool(O);
     for (int I = 0; I < 12; ++I)
       Futures.push_back(Pool.submit("(begin (sleep-ms 5) " +
@@ -160,9 +198,8 @@ TEST(PoolTest, DrainShutdownFinishesQueuedJobs) {
   }
 }
 
-TEST(PoolTest, ImmediateShutdownRejectsQueuedJobsButResolvesAllFutures) {
-  PoolOptions O;
-  O.Workers = 1;
+POOL_TEST(ImmediateShutdownRejectsQueuedJobsButResolvesAllFutures) {
+  PoolOptions O = Mode.options(1);
   EnginePool Pool(O);
   std::vector<std::future<JobResult>> Futures;
   for (int I = 0; I < 10; ++I)
@@ -186,9 +223,8 @@ TEST(PoolTest, ImmediateShutdownRejectsQueuedJobsButResolvesAllFutures) {
   EXPECT_EQ(Pool.stats().JobsRejected, Rejected);
 }
 
-TEST(PoolTest, SubmitAfterShutdownIsRejected) {
-  PoolOptions O;
-  O.Workers = 1;
+POOL_TEST(SubmitAfterShutdownIsRejected) {
+  PoolOptions O = Mode.options(1);
   EnginePool Pool(O);
   Pool.shutdown();
   JobResult R = Pool.submit("(+ 1 2)").get();
@@ -197,6 +233,7 @@ TEST(PoolTest, SubmitAfterShutdownIsRejected) {
   EXPECT_NE(R.Error.find("shut down"), std::string::npos);
 }
 
+// Cap 1 only: a sleeping hog holds the worker only at cap 1.
 TEST(PoolTest, TrySubmitAppliesBackpressureWhenQueueIsFull) {
   PoolOptions O;
   O.Workers = 1;
@@ -225,9 +262,8 @@ TEST(PoolTest, TrySubmitAppliesBackpressureWhenQueueIsFull) {
   EXPECT_EQ(Queued.get().Output, "queued");
 }
 
-TEST(PoolTest, InterruptAllEvictsRunningJobs) {
-  PoolOptions O;
-  O.Workers = 2;
+POOL_TEST(InterruptAllEvictsRunningJobs) {
+  PoolOptions O = Mode.options(2);
   EnginePool Pool(O);
   std::vector<std::future<JobResult>> Spinners;
   for (int I = 0; I < 2; ++I)
@@ -256,9 +292,8 @@ TEST(PoolTest, InterruptAllEvictsRunningJobs) {
   EXPECT_EQ(Pool.submit("(+ 1 1)").get().Output, "2");
 }
 
-TEST(PoolTest, AggregatedStatsCoverAllWorkers) {
-  PoolOptions O;
-  O.Workers = 2;
+POOL_TEST(AggregatedStatsCoverAllWorkers) {
+  PoolOptions O = Mode.options(2);
   EnginePool Pool(O);
   std::vector<std::future<JobResult>> Futures;
   for (int I = 0; I < 16; ++I)
@@ -275,9 +310,8 @@ TEST(PoolTest, AggregatedStatsCoverAllWorkers) {
 
 // --- Serving telemetry ----------------------------------------------------
 
-TEST(PoolTest, TelemetryHistogramsCoverEveryRetiredJob) {
-  PoolOptions O;
-  O.Workers = 2;
+POOL_TEST(TelemetryHistogramsCoverEveryRetiredJob) {
+  PoolOptions O = Mode.options(2);
   EnginePool Pool(O);
   std::vector<std::future<JobResult>> Futures;
   for (int I = 0; I < 20; ++I)
@@ -296,6 +330,8 @@ TEST(PoolTest, TelemetryHistogramsCoverEveryRetiredJob) {
   EXPECT_EQ(T.Stats.JobsCompleted, 20u);
 }
 
+// Cap 1 only: above it all eight jobs are admitted at once, so none waits
+// in the queue.
 TEST(PoolTest, QueueWaitP99GrowsUnderBackpressure) {
   // One worker, a burst of jobs that each run for a measurable time: job
   // N queues behind N-1 full runs, so the queue-wait p99 (the last job's
@@ -321,9 +357,8 @@ TEST(PoolTest, QueueWaitP99GrowsUnderBackpressure) {
   EXPECT_GT(T.QueueWaitUs.percentile(99), T.QueueWaitUs.percentile(10));
 }
 
-TEST(PoolTest, MetricsExportBothFormats) {
-  PoolOptions O;
-  O.Workers = 2;
+POOL_TEST(MetricsExportBothFormats) {
+  PoolOptions O = Mode.options(2);
   EnginePool Pool(O);
   std::vector<std::future<JobResult>> Futures;
   for (int I = 0; I < 10; ++I)
@@ -356,14 +391,16 @@ TEST(PoolTest, MetricsExportBothFormats) {
   EXPECT_NE(Prom.find("cmarks_pool_live_workers"), std::string::npos);
 }
 
-TEST(PoolTest, JobSpansCarryIdsAcrossWorkersInMergedTrace) {
-  PoolOptions O;
-  O.Workers = 2;
+POOL_TEST(JobSpansCarryIdsAcrossWorkersInMergedTrace) {
+  PoolOptions O = Mode.options(2);
   O.TraceCapacity = 4096;
   EnginePool Pool(O);
+  // Sleeping jobs: above cap 1, several are resident on one worker at
+  // once, so their spans interleave on its thread.
   std::vector<std::future<JobResult>> Futures;
   for (int I = 0; I < 6; ++I)
-    Futures.push_back(Pool.submit("(list " + std::to_string(I) + ")"));
+    Futures.push_back(Pool.submit("(begin (sleep-ms 20) (list " +
+                                  std::to_string(I) + "))"));
   for (auto &F : Futures)
     EXPECT_TRUE(F.get().Ok);
   Pool.shutdown();
@@ -378,11 +415,45 @@ TEST(PoolTest, JobSpansCarryIdsAcrossWorkersInMergedTrace) {
               std::string::npos)
         << "missing span for job " << I;
   EXPECT_NE(Trace.find("\"cat\":\"job\""), std::string::npos);
+
+  // Each job is one async slice keyed by its id: a begin and an end on
+  // the thread of the worker that ran it.
+  struct Span {
+    double Begin = -1, End = -1;
+    std::string Tid;
+  };
+  std::map<std::string, Span> Spans;
+  std::regex Ev("\\{\"name\":\"job-(\\d+)\",\"cat\":\"job\",\"ph\":\"([be])\","
+                "\"ts\":([0-9.]+),\"pid\":1,\"tid\":(\\d+),\"id\":(\\d+)");
+  for (std::sregex_iterator It(Trace.begin(), Trace.end(), Ev), End;
+       It != End; ++It) {
+    const std::smatch &M = *It;
+    EXPECT_EQ(M[5], M[1]) << "slice id is the job id";
+    Span &S = Spans[M[1]];
+    if (M[2] == "b") {
+      S.Begin = std::stod(M[3]);
+      S.Tid = M[4];
+    } else {
+      S.End = std::stod(M[3]);
+      EXPECT_EQ(S.Tid, M[4]) << "job " << M[1] << " ends on its own thread";
+    }
+  }
+  ASSERT_EQ(Spans.size(), 6u);
+  bool Interleaved = false;
+  for (const auto &A : Spans) {
+    EXPECT_GE(A.second.Begin, 0) << "job " << A.first;
+    EXPECT_GE(A.second.End, A.second.Begin) << "job " << A.first;
+    for (const auto &B : Spans)
+      if (A.first < B.first && A.second.Tid == B.second.Tid &&
+          B.second.Begin < A.second.End && A.second.Begin < B.second.End)
+        Interleaved = true;
+  }
+  // Cap 1 runs one job per worker at a time; above it, sleepers share one.
+  EXPECT_EQ(Interleaved, Mode.cap() > 1);
 }
 
-TEST(PoolTest, PoolProfilerAggregatesAcrossWorkers) {
-  PoolOptions O;
-  O.Workers = 2;
+POOL_TEST(PoolProfilerAggregatesAcrossWorkers) {
+  PoolOptions O = Mode.options(2);
   O.ProfileHz = 2000;
   EnginePool Pool(O);
   const std::string Hot =
@@ -425,9 +496,9 @@ EngineLimits fatalLimits() {
   return L;
 }
 
-TEST(PoolTest, FatalJobTriggersSupervisedWorkerRestart) {
-  PoolOptions O;
-  O.Workers = 1;
+POOL_TEST(FatalJobTriggersSupervisedWorkerRestart) {
+  PoolOptions O = Mode.options(1);
+  O.DefaultJobLimits = fatalLimits(); // The heap ceiling above cap 1.
   O.TraceCapacity = 4096;
   EnginePool Pool(O);
   EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
@@ -460,13 +531,13 @@ TEST(PoolTest, FatalJobTriggersSupervisedWorkerRestart) {
             std::string::npos);
 }
 
-TEST(PoolTest, WorkerRestartDropsEngineSegmentPool) {
+POOL_TEST(WorkerRestartDropsEngineSegmentPool) {
   // A worker engine that has parked recycled segments in its pool is
   // replaced after a fatal job: teardown must free the pooled chunks with
   // the engine (the ASan CI leg turns any strand into a leak report), and
   // the replacement starts with an empty pool yet recycles on its own.
-  PoolOptions O;
-  O.Workers = 1;
+  PoolOptions O = Mode.options(1);
+  O.DefaultJobLimits = fatalLimits(); // The heap ceiling above cap 1.
   EnginePool Pool(O);
   // Seed the worker's pool: deep non-tail recursion churns segments.
   JobResult Churn = Pool.submit(
@@ -487,9 +558,9 @@ TEST(PoolTest, WorkerRestartDropsEngineSegmentPool) {
   EXPECT_EQ(Pool.telemetry().WorkerRestarts, 1u);
 }
 
-TEST(PoolTest, CircuitBreakerRetiresWorkerAfterConsecutiveFatalFailures) {
-  PoolOptions O;
-  O.Workers = 1;
+POOL_TEST(CircuitBreakerRetiresWorkerAfterConsecutiveFatalFailures) {
+  PoolOptions O = Mode.options(1);
+  O.DefaultJobLimits = fatalLimits(); // The heap ceiling above cap 1.
   O.BreakerThreshold = 2;
   EnginePool Pool(O);
   EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
@@ -512,6 +583,7 @@ TEST(PoolTest, CircuitBreakerRetiresWorkerAfterConsecutiveFatalFailures) {
   Pool.shutdown(); // Still idempotent on a self-stopped pool.
 }
 
+// Cap 1 only: a sleeping hog holds the worker only at cap 1.
 TEST(PoolTest, DeadlineExpiresJobStuckInQueue) {
   PoolOptions O;
   O.Workers = 1;
@@ -533,9 +605,8 @@ TEST(PoolTest, DeadlineExpiresJobStuckInQueue) {
             std::string::npos);
 }
 
-TEST(PoolTest, DeadlineBoundsRunTimeViaTimeoutConversion) {
-  PoolOptions O;
-  O.Workers = 1;
+POOL_TEST(DeadlineBoundsRunTimeViaTimeoutConversion) {
+  PoolOptions O = Mode.options(1);
   EnginePool Pool(O);
   EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
   // No explicit TimeoutMs: the remaining deadline becomes the timeout at
@@ -546,6 +617,93 @@ TEST(PoolTest, DeadlineBoundsRunTimeViaTimeoutConversion) {
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Outcome, JobOutcome::TrippedTimeout);
   EXPECT_EQ(R.Kind, ErrorKind::Timeout);
+}
+
+// --- What cap 1 adds, and the compile-first rule at every cap -------------
+
+POOL_TEST(HeapBudgetIsPerJobOnlyAtCap1) {
+  // At cap 1 the job is its engine's only tenant, so its heap budget is
+  // the engine's; above cap 1 co-resident jobs share the engine-wide one
+  // (DefaultJobLimits), and the per-job HeapBytes is not enforced.
+  EnginePool Pool(Mode.options(1));
+  EngineLimits L;
+  L.HeapBytes = 4u << 20;
+  // Keeps 2000 vectors of 1024 slots (~16 MiB) live, then returns.
+  const char *Hoarder = "(let loop ((i 0) (a '()))"
+                        "  (if (= i 2000) (length a)"
+                        "      (loop (+ i 1) (cons (make-vector 1024 0) a))))";
+  JobResult R = Pool.submit(Hoarder, L).get();
+  if (Mode.cap() == 1) {
+    EXPECT_EQ(R.Outcome, JobOutcome::TrippedHeap) << R.Error;
+  } else {
+    EXPECT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
+    EXPECT_EQ(R.Output, "2000");
+  }
+}
+
+POOL_TEST(TimeoutIsWallClockOnlyAtCap1) {
+  // At cap 1 TimeoutMs is wall-clock, folded into the job's deadline, so
+  // parked time counts; above cap 1 it budgets on-CPU time only.
+  EnginePool Pool(Mode.options(1));
+  EngineLimits L;
+  L.TimeoutMs = 20;
+  JobResult R = Pool.submit("(begin (sleep-ms 100) 'slept)", L).get();
+  if (Mode.cap() == 1) {
+    EXPECT_EQ(R.Outcome, JobOutcome::TrippedTimeout) << R.Error;
+  } else {
+    EXPECT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
+    EXPECT_EQ(R.Output, "slept");
+  }
+}
+
+POOL_TEST(JobFormsAllCompileBeforeAnyRuns) {
+  // A job whose later form fails to compile runs none of its forms, so
+  // the define before the bad form never happens.
+  EnginePool Pool(Mode.options(1));
+  JobResult Bad = Pool.submit("(define before-bad 1) (lambda)").get();
+  EXPECT_EQ(Bad.Outcome, JobOutcome::Error);
+  EXPECT_NE(Bad.Error.find("compile error"), std::string::npos) << Bad.Error;
+  JobResult After = Pool.submit("before-bad").get();
+  EXPECT_EQ(After.Outcome, JobOutcome::Error) << After.Output;
+  EXPECT_NE(After.Error.find("before-bad"), std::string::npos) << After.Error;
+}
+
+// --- Parked workers wait instead of spinning ------------------------------
+
+POOL_TEST(ParkedWorkerAtItsCapDoesNotSpin) {
+  // The worker's cap is full of sleepers and more jobs are queued: it
+  // cannot admit them, so it must sleep until a timer is due.
+  EnginePool Pool(Mode.options(1));
+  EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
+  std::vector<std::future<JobResult>> Sleepers, Queued;
+  for (uint32_t I = 0; I < Mode.cap(); ++I)
+    Sleepers.push_back(Pool.submit("(begin (sleep-ms 300) 'slept)"));
+  for (int I = 0; I < 3; ++I)
+    Queued.push_back(Pool.submit("'queued"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  uint64_t Cpu0 = processCpuNs(), Wall0 = nowNanos();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  uint64_t CpuNs = processCpuNs() - Cpu0, WallNs = nowNanos() - Wall0;
+  EXPECT_LT(CpuNs, WallNs / 2) << "worker spun while parked at its cap";
+  for (auto &F : Sleepers)
+    EXPECT_EQ(F.get().Output, "slept");
+  for (auto &F : Queued)
+    EXPECT_EQ(F.get().Output, "queued");
+}
+
+POOL_TEST(DrainShutdownWaitingOnTimersDoesNotSpin) {
+  // A drain stop with only a sleeper left must wait for its timer.
+  EnginePool Pool(Mode.options(1));
+  EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
+  std::future<JobResult> Sleeper =
+      Pool.submit("(begin (sleep-ms 300) 'slept)");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  uint64_t Cpu0 = processCpuNs(), Wall0 = nowNanos();
+  Pool.shutdown(/*Drain=*/true);
+  uint64_t CpuNs = processCpuNs() - Cpu0, WallNs = nowNanos() - Wall0;
+  EXPECT_GT(WallNs, 100000000u) << "the drain must wait for the sleeper";
+  EXPECT_LT(CpuNs, WallNs / 2) << "worker spun while draining";
+  EXPECT_EQ(Sleeper.get().Output, "slept");
 }
 
 TEST(PoolTest, RetryBackoffIsDeterministicAndCapped) {
@@ -575,9 +733,8 @@ TEST(PoolTest, RetryBackoffIsDeterministicAndCapped) {
   EXPECT_EQ(retryBackoffMs(P, 7, 9), 32u);
 }
 
-TEST(PoolTest, RetryPolicyReRunsInterruptedJobs) {
-  PoolOptions O;
-  O.Workers = 1;
+POOL_TEST(RetryPolicyReRunsInterruptedJobs) {
+  PoolOptions O = Mode.options(1);
   O.DefaultRetry.MaxAttempts = 3;
   O.DefaultRetry.BaseBackoffMs = 1;
   EnginePool Pool(O);
@@ -604,6 +761,8 @@ TEST(PoolTest, RetryPolicyReRunsInterruptedJobs) {
   EXPECT_GE(Pool.stats().RetriesAttempted, 1u);
 }
 
+// Cap 1 only: sleeping jobs hold the worker, and queue waits grow, only
+// at cap 1.
 TEST(PoolTest, AdmissionControlShedsWhenQueueWaitExceedsBudget) {
   PoolOptions O;
   O.Workers = 1;
@@ -633,6 +792,8 @@ TEST(PoolTest, AdmissionControlShedsWhenQueueWaitExceedsBudget) {
             std::string::npos);
 }
 
+// Cap 1 only: sleeping jobs hold the worker, and queue waits grow, only
+// at cap 1.
 TEST(PoolTest, PressureTightensDefaultLimitsBeforeShedding) {
   PoolOptions O;
   O.Workers = 1;
@@ -661,6 +822,7 @@ TEST(PoolTest, PressureTightensDefaultLimitsBeforeShedding) {
   EXPECT_TRUE(T.PressureActive);
 }
 
+// Cap 1 only: a sleeping hog holds the worker only at cap 1.
 void expectBlockedSubmitterRejectedOnShutdown(bool Drain) {
   PoolOptions O;
   O.Workers = 1;
@@ -711,9 +873,8 @@ TEST(PoolTest, BlockedSubmitterIsWokenAndRejectedByImmediateShutdown) {
   expectBlockedSubmitterRejectedOnShutdown(/*Drain=*/false);
 }
 
-TEST(PoolTest, InterruptAllRacingDrainShutdownResolvesEverything) {
-  PoolOptions O;
-  O.Workers = 2;
+POOL_TEST(InterruptAllRacingDrainShutdownResolvesEverything) {
+  PoolOptions O = Mode.options(2);
   EnginePool Pool(O);
   std::vector<std::future<JobResult>> Futures;
   for (int I = 0; I < 4; ++I)

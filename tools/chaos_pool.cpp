@@ -58,6 +58,7 @@ struct ChaosOptions {
   uint64_t DeadlineMs = 0;      ///< 0 = no per-job deadline.
   uint64_t QueueWaitBudgetMs = 0; ///< 0 = admission control off.
   uint32_t Breaker = 6;         ///< Consecutive-fatal circuit breaker.
+  uint32_t MaxFibers = 1;       ///< Admission cap per worker (1 = no fibers).
   uint64_t GoodputPct = 90;     ///< Minimum healthy-job success rate.
   uint64_t WatchdogSec = 300;   ///< Hang -> diagnostics + exit 2.
   unsigned HostilePermille[3] = {60, 50, 30}; ///< spinner/eater/escalator.
@@ -198,6 +199,8 @@ void usage() {
       "  --queue-budget-ms=N  arm admission control at this queue-wait\n"
       "                     p99 budget (default off)\n"
       "  --breaker=N        consecutive-fatal circuit breaker (default 6)\n"
+      "  --max-fibers=N     jobs admitted per worker; N > 1 runs a fiber\n"
+      "                     pool (default 1: one job per worker)\n"
       "  --goodput=PCT      minimum healthy success rate (default 90)\n"
       "  --watchdog-sec=N   hang watchdog (default 300)\n"
       "  --fault-spec=SPEC  set CMARKS_FAULT_SPEC for the worker engines\n"
@@ -243,6 +246,9 @@ int main(int Argc, char **Argv) {
     } else if (Arg.rfind("--breaker=", 0) == 0 &&
                parseU64(Arg.c_str() + 10, N)) {
       C.Breaker = static_cast<uint32_t>(N);
+    } else if (Arg.rfind("--max-fibers=", 0) == 0 &&
+               parseU64(Arg.c_str() + 13, N) && N > 0) {
+      C.MaxFibers = static_cast<uint32_t>(N);
     } else if (Arg.rfind("--goodput=", 0) == 0 &&
                parseU64(Arg.c_str() + 10, N) && N <= 100) {
       C.GoodputPct = N;
@@ -294,6 +300,13 @@ int main(int Argc, char **Argv) {
   PO.BreakerThreshold = C.Breaker;
   PO.QueueWaitBudgetMs = C.QueueWaitBudgetMs;
   PO.TraceCapacity = 8192;
+  PO.EnableFibers = C.MaxFibers > 1;
+  PO.MaxFibersPerWorker = C.MaxFibers;
+  // Above cap 1 a job's own HeapBytes is not enforced: co-resident jobs
+  // share their engine's budget. This engine-wide one bounds the heap
+  // eaters and lets the escalators burn through its headroom.
+  PO.DefaultJobLimits.HeapBytes = 16u << 20;
+  PO.DefaultJobLimits.HeapHeadroomBytes = 256u << 10;
   uint64_t T0 = nowNanos();
   uint64_t Restarts = 0, BreakerOpens = 0, Retries = 0;
   Ledger Total;
@@ -459,13 +472,14 @@ int main(int Argc, char **Argv) {
 
     uint64_t ElapsedMs = (nowNanos() - T0) / 1000000;
     std::printf(
-        "chaos_pool: %llu jobs / %u workers / seed %llu in %llu ms\n"
+        "chaos_pool: %llu jobs / %u workers / cap %u / seed %llu in %llu "
+        "ms\n"
         "  outcomes: ok=%llu error=%llu heap=%llu stack=%llu timeout=%llu "
         "interrupt=%llu expired=%llu shed=%llu rejected=%llu\n"
         "  mix: healthy=%llu spinner=%llu eater=%llu escalator=%llu\n"
         "  goodput=%.1f%% restarts=%llu breaker-opens=%llu retries=%llu "
         "retried-jobs=%llu\n",
-        static_cast<unsigned long long>(C.Jobs), C.Workers,
+        static_cast<unsigned long long>(C.Jobs), C.Workers, C.MaxFibers,
         static_cast<unsigned long long>(C.Seed),
         static_cast<unsigned long long>(ElapsedMs),
         static_cast<unsigned long long>(Total.ByOutcome[0]),
@@ -493,8 +507,11 @@ int main(int Argc, char **Argv) {
                      C.ReportFile.c_str());
       } else {
         std::fprintf(F, "{\n  \"schema\": \"cmarks-chaos-v1\",\n");
-        std::fprintf(F, "  \"jobs\": %llu,\n  \"workers\": %u,\n",
-                     static_cast<unsigned long long>(C.Jobs), C.Workers);
+        std::fprintf(F,
+                     "  \"jobs\": %llu,\n  \"workers\": %u,\n"
+                     "  \"max_fibers\": %u,\n",
+                     static_cast<unsigned long long>(C.Jobs), C.Workers,
+                     C.MaxFibers);
         std::fprintf(F, "  \"seed\": %llu,\n  \"elapsed_ms\": %llu,\n",
                      static_cast<unsigned long long>(C.Seed),
                      static_cast<unsigned long long>(ElapsedMs));

@@ -5,7 +5,8 @@ The input is the Chrome trace-event JSON written by `cmarks_repl
 --trace=FILE`, `SchemeEngine::dumpTrace()`, `(runtime-trace-dump
 "FILE")`, or `EnginePool::dumpTrace()` (schema "cmarks-trace-v1";
 loadable in ui.perfetto.dev). Pool exports are multi-threaded: worker N
-renders as tid N+1, and serving jobs appear as named "job-<id>" spans.
+renders as tid N+1, and serving jobs appear as "job-<id>" async slices
+(ph b/e, keyed by the job id), since jobs interleave on a worker thread.
 
   trace_report.py FILE            per-event counts and span durations
   trace_report.py --check FILE    validate the schema; exit 0/1 (CI).
@@ -19,7 +20,7 @@ import sys
 from collections import Counter, defaultdict
 
 SCHEMA = "cmarks-trace-v1"
-PHASES = {"B", "E", "i", "M"}
+PHASES = {"B", "E", "b", "e", "i", "M"}
 
 
 def fail(msg):
@@ -51,8 +52,10 @@ def check(doc, path):
     if not isinstance(events, list):
         fail(f"{path}: traceEvents must be a list")
     # Begin/End balance is per thread: pool exports interleave workers,
-    # and the exporter guarantees spans never cross engines (tids).
+    # and the exporter guarantees spans never cross engines (tids). Async
+    # slices balance per (tid, cat, id) instead of by nesting.
     depth = Counter()
+    open_async = set()
     for i, e in enumerate(events):
         if not isinstance(e, dict):
             fail(f"{path}: event {i} is not an object")
@@ -74,9 +77,26 @@ def check(doc, path):
             depth[tid] -= 1
             if depth[tid] < 0:
                 fail(f"{path}: event {i}: E without a matching B (tid {tid})")
+        elif ph in ("b", "e"):
+            if not isinstance(e.get("id"), int):
+                fail(f"{path}: event {i}: async {ph} lacks an integer id")
+            key = (tid, e.get("cat"), e["id"])
+            if ph == "b":
+                if key in open_async:
+                    fail(f"{path}: event {i}: async id {e['id']} begun twice")
+                open_async.add(key)
+            elif key not in open_async:
+                fail(f"{path}: event {i}: e without a matching b "
+                     f"(tid {tid}, id {e['id']})")
+            else:
+                open_async.remove(key)
     for tid, d in depth.items():
         if d != 0:
             fail(f"{path}: tid {tid}: {d} B event(s) left unclosed")
+    if open_async:
+        tid, _, jid = sorted(open_async)[0]
+        fail(f"{path}: tid {tid}: async id {jid} left unclosed "
+             f"({len(open_async)} in all)")
     # otherData.events counts ring-buffer entries; the exported list can
     # differ slightly when the exporter repaired B/E pairs broken by
     # wraparound, so only the field's type is checked.
@@ -96,19 +116,17 @@ def check(doc, path):
 
 
 def job_spans(events):
-    """Yields (job_id, tid, begin_ts, end_ts) for every job-<id> span."""
+    """Yields (job_id, tid, begin_ts, end_ts) for every job-<id> slice."""
     open_jobs = {}
     for e in events:
         if e.get("cat") != "job":
             continue
-        tid = e.get("tid", 1)
-        if e["ph"] == "B":
-            open_jobs[tid] = e
-        elif e["ph"] == "E" and tid in open_jobs:
-            b = open_jobs.pop(tid)
-            name = b.get("name", "")
-            jid = name[4:] if name.startswith("job-") else name
-            yield jid, tid, b["ts"], e["ts"]
+        key = (e.get("tid", 1), e.get("id"))
+        if e["ph"] == "b":
+            open_jobs[key] = e
+        elif e["ph"] == "e" and key in open_jobs:
+            b = open_jobs.pop(key)
+            yield str(e["id"]), key[0], b["ts"], e["ts"]
 
 
 def report_jobs(doc, path):
@@ -141,7 +159,8 @@ def report(doc, path):
 
     counts = Counter()
     for e in events:
-        suffix = {"B": " (begin)", "E": " (end)"}.get(e["ph"], "")
+        suffix = {"B": " (begin)", "E": " (end)", "b": " (begin)",
+                  "e": " (end)"}.get(e["ph"], "")
         counts[(e.get("cat", "?"), e["name"] + suffix)] += 1
     print("\n  event counts")
     for (cat, name), n in sorted(counts.items()):
@@ -160,6 +179,9 @@ def report(doc, path):
             b = stack[tid].pop()
             totals[b["name"]] += e["ts"] - b["ts"]
             spans[b["name"]] += 1
+    for _, _, b, e in job_spans(events):
+        totals["job"] += e - b
+        spans["job"] += 1
     if spans:
         print("\n  span totals (inclusive wall-clock)")
         for name, n in spans.most_common():
