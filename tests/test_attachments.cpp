@@ -400,6 +400,11 @@ struct SkeletonCase {
   const char *Body;
 };
 
+/// Print a case by name: the default byte dump shows the two string
+/// pointers, which change from run to run, and gtest_discover_tests puts
+/// the printed value into the CTest name.
+void PrintTo(const SkeletonCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class ImitationEquivalence : public ::testing::TestWithParam<SkeletonCase> {};
 
 std::string substitute(std::string Body, bool Builtin) {
