@@ -4,9 +4,11 @@
 
 #include "support/faults.h"
 #include "support/stats.h"
+#include "support/timing.h"
 #include "support/trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -102,7 +104,21 @@ uint64_t fnv1a(const char *Data, uint32_t Len) {
 }
 
 size_t sizeClassOf(size_t RoundedBytes) { return RoundedBytes / 16 - 1; }
+
+const HeapCounterDesc HeapCounters[] = {
+    {"gc-collections", &HeapStats::Collections},
+    {"gc-one-shot-promotions", &HeapStats::OneShotPromotions},
+    {"gc-bytes-allocated", &HeapStats::BytesAllocated},
+    {"gc-reserved-bytes", &HeapStats::ReservedBytes},
+    {"gc-pause-ns-total", &HeapStats::GCPauseNsTotal},
+    {"gc-pause-ns-max", &HeapStats::GCPauseNsMax},
+};
 } // namespace
+
+const HeapCounterDesc *cmk::heapStatsCounters(int &Count) {
+  Count = static_cast<int>(sizeof(HeapCounters) / sizeof(HeapCounters[0]));
+  return HeapCounters;
+}
 
 GCRoot::GCRoot(Heap &H, Value V) : H(H), V(V) { H.TempRoots.push_back(this); }
 
@@ -287,6 +303,7 @@ void *Heap::allocRaw(size_t Bytes, ObjKind Kind) {
   if (Rounded > MaxSmallBytes) {
     Mem = checkedMalloc(Rounded, "out of memory (large allocation)");
     LargeObjs.push_back(static_cast<ObjHeader *>(Mem));
+    Stats.ReservedBytes += Rounded;
   } else {
     size_t Class = sizeClassOf(Rounded);
     if (FreeLists[Class]) {
@@ -297,6 +314,7 @@ void *Heap::allocRaw(size_t Bytes, ObjKind Kind) {
         char *BlockMem = static_cast<char *>(
             checkedMalloc(BlockSize, "out of memory (block allocation)"));
         Blocks.push_back({BlockMem, 0, BlockSize});
+        Stats.ReservedBytes += BlockSize;
       }
       Block &B = Blocks.back();
       Mem = B.Mem + B.Used;
@@ -340,6 +358,7 @@ void *Heap::allocNursery(size_t Bytes, ObjKind Kind) {
       char *Mem = static_cast<char *>(
           checkedMalloc(NurseryBlockSize, "out of memory (nursery block)"));
       NurseryBlocks.push_back({Mem, 0, NurseryBlockSize});
+      Stats.ReservedBytes += NurseryBlockSize;
     }
   }
   Block &B = NurseryBlocks.back();
@@ -524,20 +543,32 @@ void Heap::sweep() {
   for (size_t I = 0; I < NumSizeClasses; ++I)
     FreeLists[I] = nullptr;
 
-  for (Block &B : Blocks) {
-    char *P = B.Mem;
-    while (P < B.Mem + B.Used) {
+  // One pass per tenured block threads its dead and free chunks onto a
+  // block-local list per size class (ClassMask says which are non-empty).
+  // The lists reach FreeLists only if the block keeps a live object: an
+  // all-dead block is handed back to the host allocator whole, except the
+  // bump block, which allocRaw is still filling and is rewound instead.
+  // Dead objects leave BytesInUse one by one as they are found, so freeing
+  // or rewinding the block subtracts nothing more.
+  static_assert(NumSizeClasses <= 64, "ClassMask holds one bit per class");
+  FreeChunk *LocalHead[NumSizeClasses];
+  FreeChunk *LocalTail[NumSizeClasses];
+  size_t Kept = 0;
+  for (size_t BI = 0; BI < Blocks.size(); ++BI) {
+    Block &B = Blocks[BI];
+    uint64_t ClassMask = 0;
+    bool AnyLive = false;
+    for (char *P = B.Mem; P < B.Mem + B.Used;) {
       ObjHeader *O = reinterpret_cast<ObjHeader *>(P);
       uint32_t Size = O->SizeBytes;
-      if (static_cast<uint8_t>(O->Kind) == FreeChunkKind) {
-        auto *F = reinterpret_cast<FreeChunk *>(O);
-        F->Next = FreeLists[sizeClassOf(Size)];
-        FreeLists[sizeClassOf(Size)] = F;
-      } else if ((O->Flags & objflags::GCMark) ||
-                 (O->Flags & objflags::Immortal)) {
-        O->Flags &= ~objflags::GCMark;
-        LiveBytes += Size;
-      } else {
+      P += Size;
+      if (static_cast<uint8_t>(O->Kind) != FreeChunkKind) {
+        if (O->Flags & (objflags::GCMark | objflags::Immortal)) {
+          O->Flags &= ~objflags::GCMark;
+          LiveBytes += Size;
+          AnyLive = true;
+          continue;
+        }
         if (O->Kind == ObjKind::Port && O->Aux == 1)
           delete static_cast<std::string *>(
               reinterpret_cast<PortObj *>(O)->Stream);
@@ -545,13 +576,38 @@ void Heap::sweep() {
           --LiveSegments;
         BytesInUse -= Size;
         O->Kind = static_cast<ObjKind>(FreeChunkKind);
-        auto *F = reinterpret_cast<FreeChunk *>(O);
-        F->Next = FreeLists[sizeClassOf(Size)];
-        FreeLists[sizeClassOf(Size)] = F;
       }
-      P += Size;
+      auto *F = reinterpret_cast<FreeChunk *>(O);
+      size_t Class = sizeClassOf(Size);
+      if (ClassMask & (uint64_t(1) << Class)) {
+        F->Next = LocalHead[Class];
+      } else {
+        F->Next = nullptr;
+        LocalTail[Class] = F;
+        ClassMask |= uint64_t(1) << Class;
+      }
+      LocalHead[Class] = F;
     }
+    bool IsBumpBlock = BI + 1 == Blocks.size();
+    if (!AnyLive && !IsBumpBlock) {
+      std::free(B.Mem);
+      Stats.ReservedBytes -= B.Size;
+      if (VmStatsPtr)
+        ++VmStatsPtr->TenuredBlocksFreed;
+      continue;
+    }
+    if (!AnyLive) {
+      B.Used = 0;
+    } else {
+      for (uint64_t M = ClassMask; M; M &= M - 1) {
+        size_t Class = static_cast<size_t>(std::countr_zero(M));
+        LocalTail[Class]->Next = FreeLists[Class];
+        FreeLists[Class] = LocalHead[Class];
+      }
+    }
+    Blocks[Kept++] = B;
   }
+  Blocks.resize(Kept);
 
   sweepNursery(LiveBytes);
 
@@ -584,6 +640,7 @@ void Heap::sweep() {
       if (O->Kind == ObjKind::StackSeg && LiveSegments > 0)
         --LiveSegments;
       BytesInUse -= O->SizeBytes;
+      Stats.ReservedBytes -= O->SizeBytes;
       std::free(O);
     }
   }
@@ -617,12 +674,13 @@ void Heap::sweepNursery(uint64_t &LiveBytes) {
         ++EmptyKept;
       } else {
         std::free(B.Mem);
+        Stats.ReservedBytes -= B.Size;
       }
       continue;
     }
     // Survivors: tenure the whole block into the mark-sweep block set,
     // threading its dead objects onto the size-class free lists exactly as
-    // the tenured sweep would.
+    // the tenured sweep does for a block that keeps a live object.
     for (char *P = B.Mem; P < B.Mem + B.Used;) {
       ObjHeader *O = reinterpret_cast<ObjHeader *>(P);
       uint32_t Size = O->SizeBytes;
@@ -642,7 +700,9 @@ void Heap::sweepNursery(uint64_t &LiveBytes) {
       }
       P += Size;
     }
-    Blocks.push_back(B);
+    // Below the bump block, so allocRaw keeps filling its own 1 MiB block
+    // and a bump block rewound by this sweep is not stranded mid-vector.
+    Blocks.insert(Blocks.empty() ? Blocks.end() : Blocks.end() - 1, B);
     if (VmStatsPtr)
       ++VmStatsPtr->NurseryPromotions;
   }
@@ -652,6 +712,8 @@ void Heap::sweepNursery(uint64_t &LiveBytes) {
 void Heap::collect() {
   InGC = true;
   ++Stats.Collections;
+  uint64_t StartNs = nowNanos();
+  CMK_TRACE_EV_P(TraceBufPtr, GcBegin);
 
   for (GCRootSource *Src : RootSources)
     Src->traceRoots(*this);
@@ -676,6 +738,10 @@ void Heap::collect() {
   if (ReserveActive && (!LimitsPtr || LimitsPtr->MaxLiveSegments == 0 ||
                         LiveSegments < LimitsPtr->MaxLiveSegments))
     ReserveActive = false;
+  uint64_t PauseNs = nowNanos() - StartNs;
+  Stats.GCPauseNsTotal += PauseNs;
+  Stats.GCPauseNsMax = std::max(Stats.GCPauseNsMax, PauseNs);
+  CMK_TRACE_EV_P(TraceBufPtr, GcEnd);
   InGC = false;
 }
 
@@ -826,6 +892,7 @@ Value Heap::makeStackSeg(uint32_t CapacitySlots) {
   checkHeapBudget(Rounded);
   void *Mem = checkedMalloc(Rounded, "out of memory (stack segment)");
   LargeObjs.push_back(static_cast<ObjHeader *>(Mem));
+  Stats.ReservedBytes += Rounded;
   std::memset(Mem, 0, Rounded);
   auto *S = static_cast<StackSegObj *>(Mem);
   S->H.Kind = ObjKind::StackSeg;
@@ -925,6 +992,7 @@ void Heap::releasePooledSegments() {
     if (O->Kind == ObjKind::StackSeg && (O->Flags & objflags::SegPooled)) {
       unpoisonPooledSeg(reinterpret_cast<StackSegObj *>(O));
       BytesInUse -= O->SizeBytes;
+      Stats.ReservedBytes -= O->SizeBytes;
       std::free(O);
     } else {
       Kept.push_back(O);

@@ -82,11 +82,27 @@ private:
 
 /// Statistics exposed for tests and the benchmark harness.
 struct HeapStats {
-  uint64_t Collections = 0;
+  uint64_t Collections = 0; ///< Also the number of timed GC pauses.
   uint64_t BytesAllocated = 0;
   uint64_t LiveBytesAfterLastGC = 0;
   uint64_t OneShotPromotions = 0; ///< Paper 6: GC promotes one-shots.
+  /// The engine's heap footprint: bytes held from the host allocator by
+  /// tenured blocks, nursery blocks and large objects (pooled segments
+  /// included), whether live, garbage or free. A gauge, unlike the rest.
+  uint64_t ReservedBytes = 0;
+  uint64_t GCPauseNsTotal = 0; ///< Wall time spent in collect(), summed.
+  uint64_t GCPauseNsMax = 0;   ///< Longest single collection.
 };
+
+/// One row of the heap counter table: the external name a HeapStats field
+/// carries in `(runtime-stats)`, the REPL's `--stats` report and metrics.
+struct HeapCounterDesc {
+  const char *Name; ///< Kebab-case, e.g. "gc-collections".
+  uint64_t HeapStats::*Field;
+};
+
+/// The heap counter table. \p Count receives the number of entries.
+const HeapCounterDesc *heapStatsCounters(int &Count);
 
 class Heap {
 public:
@@ -251,7 +267,8 @@ private:
   /// and mark frames). Runs the same governance as allocRaw; falls back to
   /// allocRaw for oversized requests. At each collection an all-dead
   /// nursery block is rewound wholesale; a block with survivors is
-  /// promoted into the tenured block set.
+  /// promoted into the tenured block set, where the sweep frees it once
+  /// nothing in it is alive.
   void *allocNursery(size_t Bytes, ObjKind Kind);
   /// The one malloc wrapper (satellite fix for the unchecked calls): on
   /// failure releases the segment pool, collects, and retries, then
@@ -276,6 +293,9 @@ private:
   /// to \p CapacitySlots; null on a pool miss.
   StackSegObj *popPooledSeg(size_t Rounded, uint32_t CapacitySlots);
 
+  /// Tenured blocks: 1 MiB allocRaw blocks and promoted 256 KiB nursery
+  /// blocks. back() is always allocRaw's bump block (promotions are
+  /// inserted below it); the sweep frees every other all-dead block.
   std::vector<Block> Blocks;
   std::vector<Block> NurseryBlocks; ///< Bump blocks for allocNursery.
   std::vector<ObjHeader *> LargeObjs;

@@ -28,6 +28,7 @@ const StatsCounterDesc Counters[] = {
     {"segment-recycles", &VMStats::SegmentRecycles, false},
     {"nursery-resets", &VMStats::NurseryResets, false},
     {"nursery-promotions", &VMStats::NurseryPromotions, false},
+    {"tenured-blocks-freed", &VMStats::TenuredBlocksFreed, false},
     {"safe-point-polls", &VMStats::SafePointPolls, false},
     {"limit-heap-trips", &VMStats::LimitHeapTrips, false},
     {"limit-stack-trips", &VMStats::LimitStackTrips, false},

@@ -43,6 +43,8 @@ static const TraceEventDesc Descs[] = {
     {"worker-restart", "supervision", 'B', false},
     {"worker-restart", "supervision", 'E', false},
     {"segment-recycle", "segment", 'i', false},
+    {"gc", "gc", 'B', false},
+    {"gc", "gc", 'E', false},
     {"mark-frame-create", "marks-detail", 'i', true},
     {"mark-frame-extend", "marks-detail", 'i', true},
     {"mark-frame-rebind", "marks-detail", 'i', true},

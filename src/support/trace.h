@@ -98,6 +98,9 @@ enum class TraceEv : uint8_t {
   // --- Cheap tier: segment recycling (paper 5) -------------------------------
   SegmentRecycle,  ///< Segment request served from the recycling pool
                    ///< instead of malloc (arg: capacity in slots).
+  // --- Cheap tier: garbage collection ---------------------------------------
+  GcBegin,         ///< Heap::collect started (Begin).
+  GcEnd,           ///< Heap::collect finished (End).
   // --- Detail tier (CMARKS_TRACE-gated): marks layer (paper 7.5) -----------
   MarkFrameCreate, ///< "no attachment" -> one-mark frame.
   MarkFrameExtend, ///< N-entry frame -> (N+1)-entry frame.

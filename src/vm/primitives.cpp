@@ -751,9 +751,9 @@ Value nativeRuntimeStats(VM &M, Value *, uint32_t) {
   const StatsCounterDesc *Table = statsCounters(N);
   for (int I = 0; I < N; ++I)
     AddCounter(Table[I].Name, S.*(Table[I].Field));
-  AddCounter("gc-collections", HS.Collections);
-  AddCounter("gc-one-shot-promotions", HS.OneShotPromotions);
-  AddCounter("gc-bytes-allocated", HS.BytesAllocated);
+  const HeapCounterDesc *HeapTable = heapStatsCounters(N);
+  for (int I = 0; I < N; ++I)
+    AddCounter(HeapTable[I].Name, HS.*(HeapTable[I].Field));
   // Observability meta-telemetry: a nonzero drop count means the trace
   // ring wrapped and a Perfetto export holds only the newest window.
   AddCounter("trace-events-dropped", M.trace().dropped());

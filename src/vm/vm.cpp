@@ -425,6 +425,11 @@ void VM::fillMetrics(MetricsRegistry &R) const {
             {{"event", "gc-collections"}}, HS.Collections);
   R.counter("cmarks_engine_events_total", "VM runtime event counters",
             {{"event", "gc-bytes-allocated"}}, HS.BytesAllocated);
+  R.counter("cmarks_engine_gc_pause_nanoseconds_total",
+            "Wall time spent in garbage collection", {}, HS.GCPauseNsTotal);
+  R.gauge("cmarks_engine_gc_pause_max_nanoseconds",
+          "Longest single garbage collection", {},
+          static_cast<double>(HS.GCPauseNsMax));
   R.counter("cmarks_engine_trace_dropped_events_total",
             "Trace-ring events lost to wraparound", {}, Trace.dropped());
   R.counter("cmarks_engine_profile_samples_total",
@@ -433,6 +438,9 @@ void VM::fillMetrics(MetricsRegistry &R) const {
             "Profile samples lost to ring wraparound", {}, Prof.dropped());
   R.gauge("cmarks_engine_heap_bytes", "Committed heap bytes (incl. garbage)",
           {}, static_cast<double>(H.bytesInUse()));
+  R.gauge("cmarks_engine_heap_reserved_bytes",
+          "Heap blocks and large objects held from the host allocator", {},
+          static_cast<double>(HS.ReservedBytes));
   R.gauge("cmarks_engine_live_segments", "Live stack segments", {},
           static_cast<double>(H.liveStackSegments()));
 }

@@ -394,12 +394,11 @@ int main(int Argc, char **Argv) {
     if (Opts.ShowStats) {
       printStatsTable(Engine.stats(), stderr);
       const HeapStats &HS = Engine.heap().stats();
-      std::fprintf(stderr, "  %-26s %12llu\n", "gc-collections",
-                   static_cast<unsigned long long>(HS.Collections));
-      std::fprintf(stderr, "  %-26s %12llu\n", "gc-one-shot-promotions",
-                   static_cast<unsigned long long>(HS.OneShotPromotions));
-      std::fprintf(stderr, "  %-26s %12llu\n", "gc-bytes-allocated",
-                   static_cast<unsigned long long>(HS.BytesAllocated));
+      int N = 0;
+      const HeapCounterDesc *HeapTable = heapStatsCounters(N);
+      for (int I = 0; I < N; ++I)
+        std::fprintf(stderr, "  %-26s %12llu\n", HeapTable[I].Name,
+                     static_cast<unsigned long long>(HS.*(HeapTable[I].Field)));
     }
     if (Opts.FaultReport)
       std::fprintf(stderr, "%s", Engine.faults().report().c_str());
