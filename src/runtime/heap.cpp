@@ -166,6 +166,8 @@ Heap::~Heap() {
     }
     std::free(B.Mem);
   }
+  for (Block &B : SpareBlocks)
+    std::free(B.Mem);
   for (ObjHeader *O : LargeObjs) {
     if (O->Kind == ObjKind::StackSeg && (O->Flags & objflags::SegPooled))
       unpoisonPooledSeg(reinterpret_cast<StackSegObj *>(O));
@@ -196,6 +198,7 @@ void *Heap::checkedMalloc(size_t Bytes, const char *What) {
     releasePooledSegments();
     if (!GCPaused && !InGC)
       collect();
+    releaseSpareBlocks();
     Mem = std::malloc(Bytes);
   }
   if (!Mem)
@@ -311,10 +314,15 @@ void *Heap::allocRaw(size_t Bytes, ObjKind Kind) {
       FreeLists[Class] = static_cast<FreeChunk *>(Mem)->Next;
     } else {
       if (Blocks.empty() || Blocks.back().Used + Rounded > Blocks.back().Size) {
-        char *BlockMem = static_cast<char *>(
-            checkedMalloc(BlockSize, "out of memory (block allocation)"));
-        Blocks.push_back({BlockMem, 0, BlockSize});
-        Stats.ReservedBytes += BlockSize;
+        if (!SpareBlocks.empty()) {
+          Blocks.push_back(SpareBlocks.back());
+          SpareBlocks.pop_back();
+        } else {
+          char *BlockMem = static_cast<char *>(
+              checkedMalloc(BlockSize, "out of memory (block allocation)"));
+          Blocks.push_back({BlockMem, 0, BlockSize});
+          Stats.ReservedBytes += BlockSize;
+        }
       }
       Block &B = Blocks.back();
       Mem = B.Mem + B.Used;
@@ -542,14 +550,17 @@ void Heap::sweep() {
   uint64_t LiveBytes = 0;
   for (size_t I = 0; I < NumSizeClasses; ++I)
     FreeLists[I] = nullptr;
+  // Spares the last cycle did not take go back to the host allocator, so
+  // the spare list never holds more than one cycle's worth of blocks.
+  releaseSpareBlocks();
 
   // One pass per tenured block threads its dead and free chunks onto a
   // block-local list per size class (ClassMask says which are non-empty).
   // The lists reach FreeLists only if the block keeps a live object: an
-  // all-dead block is handed back to the host allocator whole, except the
-  // bump block, which allocRaw is still filling and is rewound instead.
-  // Dead objects leave BytesInUse one by one as they are found, so freeing
-  // or rewinding the block subtracts nothing more.
+  // all-dead block leaves the tenured set whole, rewound, except the bump
+  // block, which allocRaw is still filling and is rewound in place.
+  // Dead objects leave BytesInUse one by one as they are found, so
+  // rewinding the block subtracts nothing more.
   static_assert(NumSizeClasses <= 64, "ClassMask holds one bit per class");
   FreeChunk *LocalHead[NumSizeClasses];
   FreeChunk *LocalTail[NumSizeClasses];
@@ -590,8 +601,14 @@ void Heap::sweep() {
     }
     bool IsBumpBlock = BI + 1 == Blocks.size();
     if (!AnyLive && !IsBumpBlock) {
-      std::free(B.Mem);
-      Stats.ReservedBytes -= B.Size;
+      // Rewound, a promoted nursery block goes back to the nursery, where
+      // sweepNursery keeps it as a spare or frees it, and a 1 MiB block
+      // becomes a spare for allocRaw's next bump block.
+      B.Used = 0;
+      if (B.Size == NurseryBlockSize)
+        NurseryBlocks.push_back(B);
+      else
+        SpareBlocks.push_back(B);
       if (VmStatsPtr)
         ++VmStatsPtr->TenuredBlocksFreed;
       continue;
@@ -649,6 +666,13 @@ void Heap::sweep() {
 }
 
 void Heap::sweepNursery(uint64_t &LiveBytes) {
+  // Keep as many empty blocks as this cycle filled: the next cycle is
+  // likely to fill as many again, and a block kept here is one that needs
+  // no malloc, no page faults and no free.
+  size_t Filled = 0;
+  for (const Block &B : NurseryBlocks)
+    Filled += B.Used != 0;
+  size_t MaxSpares = std::max(Filled, MaxSpareNurseryBlocks);
   std::vector<Block> Kept;
   size_t EmptyKept = 0;
   for (Block &B : NurseryBlocks) {
@@ -669,7 +693,7 @@ void Heap::sweepNursery(uint64_t &LiveBytes) {
       if (B.Used != 0 && VmStatsPtr)
         ++VmStatsPtr->NurseryResets;
       B.Used = 0;
-      if (EmptyKept < MaxSpareNurseryBlocks) {
+      if (EmptyKept < MaxSpares) {
         Kept.push_back(B);
         ++EmptyKept;
       } else {
@@ -1001,6 +1025,14 @@ void Heap::releasePooledSegments() {
   LargeObjs.swap(Kept);
   PooledSegBytes = 0;
   PooledSegCount = 0;
+}
+
+void Heap::releaseSpareBlocks() {
+  for (Block &B : SpareBlocks) {
+    std::free(B.Mem);
+    Stats.ReservedBytes -= B.Size;
+  }
+  SpareBlocks.clear();
 }
 
 void Heap::setSegmentRecycling(bool On) {

@@ -292,11 +292,17 @@ private:
   /// Pops a pooled chunk large enough for \p Rounded bytes, reinitialized
   /// to \p CapacitySlots; null on a pool miss.
   StackSegObj *popPooledSeg(size_t Rounded, uint32_t CapacitySlots);
+  /// Gives every spare 1 MiB block back to the host allocator.
+  void releaseSpareBlocks();
 
   /// Tenured blocks: 1 MiB allocRaw blocks and promoted 256 KiB nursery
   /// blocks. back() is always allocRaw's bump block (promotions are
-  /// inserted below it); the sweep frees every other all-dead block.
+  /// inserted below it); the sweep takes every other all-dead block out.
   std::vector<Block> Blocks;
+  /// Empty 1 MiB blocks the last sweep took out of Blocks. allocRaw takes
+  /// its next bump block from here before it mallocs; the next sweep frees
+  /// whatever is left.
+  std::vector<Block> SpareBlocks;
   std::vector<Block> NurseryBlocks; ///< Bump blocks for allocNursery.
   std::vector<ObjHeader *> LargeObjs;
   static constexpr size_t NumSizeClasses = 64;

@@ -96,7 +96,7 @@ struct VMStats {
 
   uint64_t NurseryResets = 0;     ///< All-dead nursery blocks rewound at GC.
   uint64_t NurseryPromotions = 0; ///< Nursery blocks tenured (had survivors).
-  /// All-dead tenured blocks the sweep returned to the host allocator.
+  /// All-dead tenured blocks the sweep took out of the tenured set.
   uint64_t TenuredBlocksFreed = 0;
 
   // --- Cheap tier: resource governance (support/limits.h) -------------------
